@@ -15,8 +15,10 @@ Measured, per profile:
   clock, and metrics snapshot (modulo the ``specialize.*`` names that
   exist only on the specialized system) — and zero deny-stub hits;
 * the headline regression gate: the full E11 penetration suite reruns
-  against every specialized kernel, requiring all attacks denied with
-  deny-completeness in the bounded audit trail.
+  against every specialized kernel, requiring all attacks denied and
+  the audit log deny-complete: its refused gate calls equal the
+  per-gate meters' denials and its ACL/MAC refusals the reference
+  monitor's own count.
 
 An orchestrator leg runs all four specialized kernels side-by-side
 over one shared substrate, each tenant class admitted through its own
@@ -64,6 +66,12 @@ def _strip_specialize(snapshot_json: str) -> str:
 
 def _sim_derived(derived: dict) -> dict:
     return {k: v for k, v in derived.items() if k not in WALL_KEYS}
+
+
+def audit_complete(system) -> bool:
+    """The audit log agrees with the denial counters kept outside it."""
+    checks = system.services.audit_cross_check()
+    return all(audited == counted for audited, counted in checks.values())
 
 
 def training_run(profile_name: str, n_users: int, kernel=None) -> dict:
@@ -115,9 +123,7 @@ def penetration_leg(profile) -> dict:
         "system_kind": report.system_kind,
         "attempted": report.attempted,
         "successes": report.successes,
-        "deny_complete": (
-            system.audit_trail.denials == len(system.audit.denied())
-        ),
+        "deny_complete": audit_complete(system),
         "denials": len(system.audit.denied()),
     }
 
@@ -180,9 +186,7 @@ def orchestrator_leg(per_profile: dict) -> dict:
         "own_stub_hits": own_stub_hits,
         "cross_denials": cross_denials,
         "routed_calls": orch.routed_calls,
-        "deny_complete": (
-            system.audit_trail.denials == len(system.audit.denied())
-        ),
+        "deny_complete": audit_complete(system),
         "snapshot_json": system.metrics.to_json(),
         "gauges": snapshot["gauges"],
     }

@@ -142,11 +142,10 @@ def storm_run(storm: bool, seed: int = SEED, salvage: bool = False) -> dict:
         "elapsed": system.clock.now,
         "link_report": system.topology.link_report(),
         "lost_messages": system.topology.lost,
-        "audit_json": system.audit_trail.to_json(),
+        "audit_json": system.audit.to_json(),
         "metrics_json": system.metrics.to_json(),
         "audit_injected": sum(
-            1 for r in system.audit_trail.records()
-            if r.decision == "injected"
+            1 for r in system.audit.records if r.outcome == "injected"
         ),
     }
     if salvage:

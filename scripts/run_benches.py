@@ -124,13 +124,11 @@ def bench_e16() -> tuple[dict, dict]:
     system = combined_workload(metering=True)
     unmetered = combined_workload(metering=False)
     meters = system.meters
-    trail_doc = json.loads(system.audit_trail.to_json())
-    log_denials = sum(
-        1 for r in system.audit.records if r.outcome != "granted"
-    )
-    trail_denials = sum(
-        1 for r in trail_doc["records"] if r["decision"] != "granted"
-    )
+    checks = system.services.audit_cross_check()
+    for name, (audited, counted) in checks.items():
+        if audited != counted:
+            raise AssertionError(f"{audited} audited {name} denials, "
+                                 f"{counted} counted outside the log")
     derived = {
         "wall_seconds": round(time.perf_counter() - t0, 4),
         "coverage": round(meters.coverage(), 4),
@@ -138,9 +136,10 @@ def bench_e16() -> tuple[dict, dict]:
         "total_cycles": meters.total_cycles(),
         "simulated_clock_metered": system.clock.now,
         "simulated_clock_unmetered": unmetered.clock.now,
-        "log_denials": log_denials,
-        "trail_denials": trail_denials,
-        "trail_dropped": trail_doc["dropped"],
+        "gate_denials_audited": checks["gate"][0],
+        "gate_denials_metered": checks["gate"][1],
+        "monitor_denials_audited": checks["monitor"][0],
+        "monitor_denials_counted": checks["monitor"][1],
     }
     return derived, system.metrics.snapshot()
 
@@ -251,8 +250,10 @@ def main(argv: list[str]) -> int:
         print(f"  metering coverage {e16['coverage']:.2%}  "
               f"clock {e16['simulated_clock_metered']}/"
               f"{e16['simulated_clock_unmetered']}  "
-              f"denials {e16['log_denials']}/{e16['trail_denials']} "
-              f"(dropped {e16['trail_dropped']})")
+              f"gate denials {e16['gate_denials_audited']}/"
+              f"{e16['gate_denials_metered']}  monitor denials "
+              f"{e16['monitor_denials_audited']}/"
+              f"{e16['monitor_denials_counted']}")
     if e17 is not None:
         print(f"  SMP speedup x{e17['speedup_2cpu']} at 2 CPUs  "
               f"1-CPU identity {e17['one_cpu_identity']}  "

@@ -5,6 +5,11 @@ every substrate so the benches can flip one knob at a time: 645-style
 software rings vs 6180 hardware rings, sequential vs dedicated-process
 page control, circular vs VM-backed network buffers, bootstrap vs
 memory-image initialization, legacy supervisor vs security kernel.
+
+The observability knobs (``tracing``, ``metering``, ``timeline``) never
+change a simulated result.  Auditing has no knob: the kernel's one
+audit store (:mod:`repro.security.audit`) records every decision, so no
+configuration can turn off "every denial audited".
 """
 
 from __future__ import annotations
@@ -204,12 +209,6 @@ class SystemConfig:
     #: service when next freed (graceful degradation).
     frame_retire_threshold: int = 3
 
-    #: Opt-in wall-clock profiling of the workload driver: wrap
-    #: :meth:`repro.workloads.WorkloadDriver.run` in :mod:`cProfile`
-    #: and attach a top-N cumulative dump to the report.  Purely a
-    #: wall-clock instrument — simulated results are identical on or
-    #: off; it exists to pick the next hot-path optimization target.
-    profiling: bool = False
     #: Enable the observability tracer (repro.obs.tracer).  Off by
     #: default: a disabled tracer costs one flag check per emitting
     #: site and zero simulated cycles.
@@ -218,12 +217,6 @@ class SystemConfig:
     #: On by default; metering never charges simulated cycles either
     #: way (bench E16 asserts the identity).
     metering: bool = True
-    #: Security-audit trail level (repro.obs.audit): "all" records
-    #: every reference-monitor decision, "deny" only refusals and
-    #: errors, "off" nothing.
-    audit_level: str = "all"
-    #: Ring-buffer capacity of the audit trail, in records.
-    audit_capacity: int = 4096
     #: Optional interval timeline sampler + SLO health monitor
     #: (repro.obs.timeline.validate_timeline_config describes the
     #: shape: interval, capacity, rules).  None — the default — builds
@@ -273,12 +266,6 @@ class SystemConfig:
         if self.am_entries <= 0:
             raise ValueError("am_entries must be positive (use am_enabled "
                              "to turn the associative memory off)")
-        from repro.obs.audit import LEVELS
-
-        if self.audit_level not in LEVELS:
-            raise ValueError(f"audit_level must be one of {LEVELS}")
-        if self.audit_capacity <= 0:
-            raise ValueError("audit_capacity must be positive")
         if self.topology is not None:
             from repro.io.topology import validate_spec
 

@@ -595,7 +595,7 @@ class CPU:
         generator suspends once per cycle target instead of once per
         instruction.
 
-        Counter updates are *batched* (the profiling hook's single
+        Counter updates are *batched* (cProfile's single
         biggest finding): the pure-hit loop accumulates cycle, hit,
         and instruction deltas in locals and folds them into the
         instance counters only at a boundary — a quantum yield, any

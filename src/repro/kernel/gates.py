@@ -13,7 +13,8 @@ supervisor invocation passes.  It performs, in order:
 2. argument validation — *before* the handler runs, because
    user-constructed arguments are the classic way to make supervisor
    code malfunction (the paper's linker story);
-3. auditing of the invocation and its outcome.
+3. auditing of the invocation and its outcome — every refusal,
+   including a call naming no gate, through :meth:`GateTable._refuse`.
 
 The censuses (how many gates a supervisor exposes, by category) are
 computed from this table, so the numbers experiments E1 and E2 report
@@ -256,22 +257,19 @@ class GateTable:
 
     def _call(self, process: "Process", name: str, *args: object) -> object:
         self.calls += 1
-        clock = self.services.sim.clock
-        meters = self.meters
-        gate = self.gate(name)
+        caller_ring = process.ring
+        gate = self._gates.get(name)
+        if gate is None:
+            detail = f"no gate named {name!r}"
+            self._refuse(process, name, caller_ring, "unknown_gate", detail)
+            raise GateViolationError(detail)
 
         # 1. Ring check + cross-ring cost.
-        caller_ring = process.ring
         try:
             new_ring = gate.brackets.target_ring(caller_ring)
         except AccessViolation:
-            self.rejections += 1
-            meters.note_gate_denied(process, name)
-            self.audit.log(
-                clock.now, self._subject(process), name, "call",
-                "denied", f"ring {caller_ring} outside bracket",
-                ring=caller_ring, category="ring",
-            )
+            self._refuse(process, name, caller_ring, "ring",
+                         f"ring {caller_ring} outside bracket")
             raise
         cost = call_cost(
             self.services.config.costs,
@@ -281,8 +279,8 @@ class GateTable:
         )
         process.cpu_cycles += cost
         self.services.gate_cycles += cost
-        meters.note_gate(process, name, cost,
-                         crossed=new_ring != caller_ring)
+        self.meters.note_gate(process, name, cost,
+                              crossed=new_ring != caller_ring)
         if self.tracer.enabled and new_ring != caller_ring:
             self.tracer.point(
                 "ring_crossing", origin="gate", gate=name,
@@ -291,12 +289,9 @@ class GateTable:
 
         # 2. Argument validation before anything else runs.
         if len(args) != len(gate.signature):
-            self.rejections += 1
-            meters.note_gate_denied(process, name)
-            self.audit.log(
-                clock.now, self._subject(process), name, "call",
-                "denied", f"expected {len(gate.signature)} args, got {len(args)}",
-                ring=caller_ring, category="args",
+            self._refuse(
+                process, name, caller_ring, "args",
+                f"expected {len(gate.signature)} args, got {len(args)}",
             )
             raise InvalidArgument(
                 f"{name}: expected {len(gate.signature)} arguments, "
@@ -306,53 +301,48 @@ class GateTable:
             try:
                 VALIDATORS[spec](value)
             except InvalidArgument as exc:
-                self.rejections += 1
-                meters.note_gate_denied(process, name)
-                self.audit.log(
-                    clock.now, self._subject(process), name, "call",
-                    "denied", str(exc),
-                    ring=caller_ring, category="args",
-                )
+                self._refuse(process, name, caller_ring, "args", str(exc))
                 raise
 
         # 3. Dispatch, in the gate's target ring.
-        old_ring = process.ring
         process.ring = new_ring
         try:
             result = gate.handler(self.services, process, *args)
-        except KernelDenial as denial:
-            meters.note_gate_denied(process, name)
-            self.audit.log(
-                clock.now, self._subject(process), name, "call",
-                "denied", str(denial),
-                ring=caller_ring, category="gate",
-            )
-            raise
-        except AccessViolation as violation:
-            meters.note_gate_denied(process, name)
-            self.audit.log(
-                clock.now, self._subject(process), name, "call",
-                "denied", str(violation),
-                ring=caller_ring, category="gate",
-            )
+        except (KernelDenial, AccessViolation) as denial:
+            self._refuse(process, name, caller_ring, "gate", str(denial))
             raise
         except Exception as crash:
             # A handler malfunction in ring 0: a supervisor incident
             # (the legacy linker's disease — see experiment E11).
             self.services.supervisor_incidents += 1
             self.audit.log(
-                clock.now, self._subject(process), name, "call",
-                "error", f"{type(crash).__name__}: {crash}",
+                self.services.sim.clock.now, self._subject(process), name,
+                "call", "error", f"{type(crash).__name__}: {crash}",
                 ring=caller_ring, category="gate",
             )
             raise
         finally:
-            process.ring = old_ring
+            process.ring = caller_ring
         self.audit.log(
-            clock.now, self._subject(process), name, "call", "granted",
-            ring=caller_ring, category="gate",
+            self.services.sim.clock.now, self._subject(process), name,
+            "call", "granted", ring=caller_ring, category="gate",
         )
         return result
+
+    def _refuse(self, process: "Process", name: str, ring: int,
+                category: str, detail: str) -> None:
+        """Count, meter and audit one refused call — the only place
+        this table records a refusal.  A refusal before dispatch
+        (anything but ``gate``) is a rejection; a name that is no gate
+        gets no per-gate meter, since callers choose the name."""
+        if category != "gate":
+            self.rejections += 1
+        if category != "unknown_gate":
+            self.meters.note_gate_denied(process, name)
+        self.audit.log(
+            self.services.sim.clock.now, self._subject(process), name,
+            "call", "denied", detail, ring=ring, category=category,
+        )
 
     @staticmethod
     def _subject(process: "Process") -> str:

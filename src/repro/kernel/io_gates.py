@@ -116,28 +116,15 @@ def h_net_send(services, process, host, body):
     exfiltration channel the legacy per-device gates leave open
     (experiment E11, attack A5).
     """
-    from repro.security.mac import BOTTOM, may_write
+    from repro.security.mac import BOTTOM
 
-    if process.principal is not None and not may_write(
-        process.principal.clearance, BOTTOM
-    ):
-        from repro.errors import AccessDenied
-
-        # Audit as a MAC decision in its own right (the gate layer
-        # will also record the denial of the call itself).
-        services.audit.log(
-            services.sim.clock.now,
-            str(process.principal),
-            f"net:{host}",
-            "w",
-            "denied",
-            "*-property: may not write the unclassified network channel",
-            ring=process.ring,
-            category="mac",
-        )
-        raise AccessDenied(
-            f"*-property: clearance {process.principal.clearance} may not "
-            "write the unclassified network channel"
+    if process.principal is not None:
+        # A MAC decision in its own right (the gate layer also records
+        # the denial of the call itself).
+        services.monitor.check_sink_write(
+            process.principal, f"net:{host}", BOTTOM,
+            "the unclassified network channel",
+            time=services.sim.clock.now, ring=process.ring,
         )
     message = services.network.send(host, body)
     return message.seq

@@ -27,7 +27,7 @@ from repro.hw.interrupts import InterruptController
 from repro.hw.memory import MemoryHierarchy
 from repro.hw.segmentation import Intent, translate
 from repro.kernel.locks import LockTable
-from repro.obs import AuditTrail, Meters, MetricsRegistry, Tracer
+from repro.obs import Meters, MetricsRegistry, Tracer
 from repro.proc.scheduler import TrafficController
 from repro.security.audit import AuditLog
 from repro.security.mac import BOTTOM
@@ -94,11 +94,8 @@ class KernelServices:
                                            metrics=self.metrics,
                                            meters=self.meters,
                                            locks=self.locks)
-        #: The bounded, exportable security-audit trail; every record
-        #: the kernel AuditLog takes is forwarded here.
-        self.audit_trail = AuditTrail(capacity=config.audit_capacity,
-                                      level=config.audit_level)
-        self.audit = AuditLog(trail=self.audit_trail)
+        #: The kernel's one audit store: every security decision.
+        self.audit = AuditLog()
         # The fault plane: built before the hardware so every model can
         # consult one injector.  A fresh fork keeps this system's
         # injection history independent of any other system built from
@@ -197,7 +194,7 @@ class KernelServices:
             fault_wait=lambda: self.page_control.fault_wait_total,
         )
         self.meters.register_metrics(self.metrics)
-        self.audit_trail.register_metrics(self.metrics)
+        self.audit.register_metrics(self.metrics)
         # The time-series plane (repro.obs.timeline): off unless the
         # config carries a timeline spec.  Like the tracer, sampling
         # reads instruments only — zero simulated cycles either way.
@@ -224,6 +221,24 @@ class KernelServices:
             return None
         breaches = self.health.to_rows() if self.health is not None else None
         return self.timeline.to_doc(breaches=breaches)
+
+    def audit_cross_check(self) -> dict[str, tuple[int, int]]:
+        """(audited, counted) denial pairs tying the audit log to
+        counters kept outside it: refused gate calls against the
+        per-gate meters (a name that is no gate has no meter), and
+        ACL/MAC refusals against the reference monitor's own count.
+        Each pair is equal unless a refusal bypassed the log."""
+        gate = monitor = 0
+        for record in self.audit.records:
+            if record.outcome != "denied":
+                continue
+            if record.category in ("ring", "args", "gate"):
+                gate += 1
+            elif record.category in ("acl", "mac"):
+                monitor += 1
+        metered = sum(m.denials for m in self.meters.gate_usage().values())
+        return {"gate": (gate, metered),
+                "monitor": (monitor, self.monitor.denials)}
 
     def _am_sum(self, attr: str):
         """Aggregate one AM counter over live and retired processes."""

@@ -140,17 +140,20 @@ class KernelProfiler:
         The audit log is the primary source — it is unbounded and
         always on, and records every gate invocation with its outcome.
         A gate counts as *entered* unless the ring check turned the
-        call away (those never reached kernel software).  The per-gate
-        meters corroborate: any gate the metering plane saw advance is
-        folded in too.
+        call away or the name was no gate at all: neither reached
+        kernel software, and a caller-chosen name is no gate to
+        profile.  The per-gate meters corroborate: any gate the
+        metering plane saw advance is folded in too.
         """
         gates: set[str] = set()
         entered = 0
         for record in self.services.audit.records[self._audit_mark:]:
             if record.action != "call":
                 continue
-            if record.outcome == "denied" and record.category == "ring":
-                continue  # the hardware turned it away at the perimeter
+            if record.outcome == "denied" and record.category in (
+                "ring", "unknown_gate",
+            ):
+                continue  # turned away at the perimeter
             gates.add(record.object)
             entered += 1
         meters = getattr(self.services, "meters", None)

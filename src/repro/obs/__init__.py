@@ -1,16 +1,18 @@
-"""The observability plane: metrics, meters, tracing, audit trail.
+"""The observability plane: metrics, meters, tracing, timelines.
 
 See :mod:`repro.obs.registry` for instruments and the snapshot schema,
 :mod:`repro.obs.tracer` for the span taxonomy and the Chrome trace
 export, :mod:`repro.obs.meters` for per-process/per-gate cycle
-attribution, and :mod:`repro.obs.audit` for the bounded security-audit
-trail.  The system facade wires one of each through
+attribution, and :mod:`repro.obs.timeline` / :mod:`repro.obs.health`
+for the interval sampler and its SLO rules.  The security audit log is
+not here: it is :mod:`repro.security.audit`, the kernel's one audit
+store, which registers its ``audit.*`` counters in the shared
+registry.  The system facade wires one of each through
 :class:`repro.kernel.services.KernelServices`; standalone components
 (a bare CPU, a bench-built scheduler) accept them as optional
 constructor arguments.
 """
 
-from repro.obs.audit import LEVELS, AuditTrail, TrailRecord
 from repro.obs.health import HealthMonitor, validate_rules
 from repro.obs.meters import NULL_METERS, GateMeter, Meters, ProcessMeter
 from repro.obs.registry import (
@@ -52,9 +54,6 @@ __all__ = [
     "Meters",
     "ProcessMeter",
     "GateMeter",
-    "LEVELS",
-    "AuditTrail",
-    "TrailRecord",
     "TimelineSampler",
     "validate_timeline",
     "validate_timeline_config",

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 from repro.errors import AccessDenied
 from repro.hw.segmentation import AccessMode
 from repro.security.audit import AuditLog
-from repro.security.mac import may_read, may_write
+from repro.security.mac import SecurityLabel, may_read, may_write
 from repro.security.principal import Principal
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a cycle with repro.fs
@@ -41,7 +41,7 @@ class ReferenceMonitor:
     def __init__(self, audit: AuditLog | None = None) -> None:
         # Explicit None check: an *empty* AuditLog is falsy (it has
         # __len__), and ``audit or AuditLog()`` would silently replace
-        # a caller's log — losing its attached trail.
+        # a caller's log — and its decisions would never reach it.
         self.audit = audit if audit is not None else AuditLog()
         self.checks = 0
         self.denials = 0
@@ -96,6 +96,32 @@ class ReferenceMonitor:
         self.audit.log(
             time, str(principal), branch.name, requested.to_string(),
             "granted", ring=ring, category="acl",
+        )
+
+    def check_sink_write(
+        self,
+        principal: Principal,
+        sink: str,
+        label: SecurityLabel,
+        what: str,
+        time: int = 0,
+        ring: int | None = None,
+    ) -> None:
+        """The *-property for an output sink that is not a branch (the
+        network channel): raise :class:`AccessDenied` unless ``label``
+        dominates the principal's clearance.  Only a refusal is
+        audited; the calling gate's own record shows a grant."""
+        self.checks += 1
+        if may_write(principal.clearance, label):
+            return
+        self.denials += 1
+        self.audit.log(
+            time, str(principal), sink, "w", "denied",
+            f"*-property: may not write {what}", ring=ring, category="mac",
+        )
+        raise AccessDenied(
+            f"*-property: clearance {principal.clearance} may not "
+            f"write {what}"
         )
 
     def _explain(

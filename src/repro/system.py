@@ -337,11 +337,6 @@ class MulticsSystem:
         return self.services.meters
 
     @property
-    def audit_trail(self):
-        """The bounded security audit trail (repro.obs)."""
-        return self.services.audit_trail
-
-    @property
     def timeline(self):
         """The interval timeline sampler, or None when off (repro.obs)."""
         return self.services.timeline

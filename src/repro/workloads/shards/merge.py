@@ -11,7 +11,7 @@ asserts).  Merge semantics per instrument kind:
 * histograms — count/sum/min/max folded, mean recomputed;
 * clock — the **max** shard clock (the fleet is done when its slowest
   member is);
-* audit summaries — seen/dropped/denials summed, per-shard rows kept;
+* audit summaries — seen/denials summed, per-shard rows kept;
 * timelines — folded per interval *index* (all shards sample the same
   simulated cadence): counter deltas and gauge levels summed like the
   snapshot fold, histogram count/sum summed, percentile estimates
@@ -233,9 +233,9 @@ def merge_timelines(results: list[ShardResult]) -> dict | None:
 def merge_audits(results: list[ShardResult]) -> dict:
     """Fold per-shard audit summaries: totals plus per-shard rows."""
     ordered = sorted(results, key=lambda r: r.shard_id)
-    merged = {"seen": 0, "dropped": 0, "denials": 0, "per_shard": []}
+    merged = {"seen": 0, "denials": 0, "per_shard": []}
     for result in ordered:
-        for key in ("seen", "dropped", "denials"):
+        for key in ("seen", "denials"):
             merged[key] += result.audit.get(key, 0)
         merged["per_shard"].append(
             {"shard_id": result.shard_id, **result.audit}

@@ -7,7 +7,7 @@ the pickle a few hundred bytes no matter how many users the run has)
 plus the :class:`~repro.config.SystemConfig` and driver knobs.  A
 :class:`ShardResult` is everything the merge layer folds back: the
 shard's :class:`~repro.workloads.driver.WorkloadReport`, its
-``repro.obs/v1`` metric snapshot, and its audit-trail summary.
+``repro.obs/v1`` metric snapshot, and its audit-log summary.
 
 The partition is by *user UID* (the stable ``person`` name), not by
 list position: ``assign_shard`` hashes the principal with CRC-32, so a
@@ -99,7 +99,7 @@ class ShardResult:
     #: The shard system's ``repro.obs/v1`` snapshot (deterministic —
     #: simulated values only, no wall-clock numbers).
     snapshot: dict = field(default_factory=dict)
-    #: Audit-trail summary: seen / dropped / denials.
+    #: Audit-log summary: seen / denials.
     audit: dict = field(default_factory=dict)
     #: The shard's ``repro.timeline/v1`` document (None when the config
     #: runs without a timeline).  All-simulated values, so it folds

@@ -66,16 +66,11 @@ def run_shard(spec: ShardSpec) -> ShardResult:
         max_instructions=spec.max_instructions,
     )
     report = driver.run(population)
-    trail = system.audit_trail
     return ShardResult(
         shard_id=spec.shard_id,
         report=report,
         snapshot=system.metrics.snapshot(),
-        audit={
-            "seen": trail.seen,
-            "dropped": trail.dropped,
-            "denials": trail.denials,
-        },
+        audit={"seen": len(system.audit), "denials": system.audit.denials},
         timeline=system.timeline_document(),
         wall_seconds=time.perf_counter() - wall0,
     )

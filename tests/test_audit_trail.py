@@ -1,6 +1,7 @@
-"""Tests for the bounded security-audit trail (repro.obs.audit):
-ring-buffer mechanics, levels, JSON export, and the completeness
-guarantee — every deny raised anywhere appears in the trail."""
+"""Tests for the kernel's audit log (repro.security.audit): queries,
+counters, the ``repro.audit/v1`` export, and the completeness
+guarantee — every deny raised anywhere appears in the log, and the log
+agrees with the denial counters kept outside it."""
 
 import json
 
@@ -9,7 +10,7 @@ import pytest
 from repro.errors import AccessDenied, AccessViolation, InvalidArgument
 from repro.fs.acl import Acl
 from repro.hw.segmentation import AccessMode
-from repro.obs import AuditTrail
+from repro.obs import MetricsRegistry
 from repro.security.audit import AuditLog
 from repro.security.mac import SecurityLabel
 from repro.security.reference_monitor import ReferenceMonitor
@@ -19,56 +20,25 @@ from tests.test_security_reference_monitor import branch, subject
 
 
 class TestTrailMechanics:
-    def test_rejects_bad_level_and_capacity(self):
-        with pytest.raises(ValueError):
-            AuditTrail(level="verbose")
-        with pytest.raises(ValueError):
-            AuditTrail(capacity=0)
-
-    def test_capacity_bound_drops_oldest_and_counts(self):
-        trail = AuditTrail(capacity=3)
-        for i in range(5):
-            trail.record(i, "p", f"o{i}", "r", "granted")
-        assert len(trail) == 3
-        assert trail.seen == 5
-        assert trail.dropped == 2
-        # The survivors are the newest, with monotonic seq intact.
-        assert [r.object for r in trail.records()] == ["o2", "o3", "o4"]
-        assert [r.seq for r in trail.records()] == [3, 4, 5]
-
-    def test_level_deny_keeps_only_refusals(self):
-        trail = AuditTrail(level="deny")
-        trail.record(1, "p", "o", "r", "granted")
-        trail.record(2, "p", "o", "w", "denied", "no")
-        trail.record(3, "p", "o", "call", "error", "boom")
-        assert len(trail) == 2
-        assert trail.denials == 2
-        assert all(r.decision != "granted" for r in trail.records())
-
-    def test_level_off_records_nothing(self):
-        trail = AuditTrail(level="off")
-        trail.record(1, "p", "o", "r", "denied")
-        assert len(trail) == 0
-        assert trail.seen == 1
-
     def test_queries(self):
-        trail = AuditTrail()
-        trail.record(1, "Alice.Crypto", "a", "r", "granted", category="acl")
-        trail.record(2, "Eve.Spies", "a", "w", "denied", category="mac")
-        assert len(trail.denied()) == 1
-        assert len(trail.by_principal("Eve.Spies")) == 1
-        assert len(trail.by_category("mac")) == 1
+        log = AuditLog()
+        log.log(1, "Alice.Crypto", "a", "r", "granted", category="acl")
+        log.log(2, "Eve.Spies", "a", "w", "denied", category="mac")
+        assert len(log.denied()) == 1
+        assert len(log.by_subject("Eve.Spies")) == 1
+        assert len(log.by_category("mac")) == 1
 
     def test_json_export_round_trips(self):
-        trail = AuditTrail(capacity=8)
-        trail.record(5, "Alice.Crypto", "data", "rw", "denied",
-                     "acl grants only 'r'", ring=4, category="acl")
-        doc = json.loads(trail.to_json())
+        log = AuditLog()
+        log.log(3, "Alice.Crypto", "data", "r", "granted", category="acl")
+        log.log(5, "Alice.Crypto", "data", "rw", "denied",
+                "acl grants only 'r'", ring=4, category="acl")
+        doc = json.loads(log.to_json())
         assert doc["schema"] == "repro.audit/v1"
-        assert doc["denials"] == 1
-        (rec,) = doc["records"]
-        assert rec == {
-            "seq": 1, "time": 5, "principal": "Alice.Crypto",
+        assert (doc["seen"], doc["denials"]) == (2, 1)
+        assert [r["seq"] for r in doc["records"]] == [1, 2]
+        assert doc["records"][1] == {
+            "seq": 2, "time": 5, "principal": "Alice.Crypto",
             "object": "data", "action": "rw", "ring": 4,
             "category": "acl", "decision": "denied",
             "detail": "acl grants only 'r'",
@@ -76,22 +46,26 @@ class TestTrailMechanics:
 
 
 class TestLogForwarding:
-    """AuditLog is the single funnel: everything it takes reaches the
-    attached trail, so nothing can log a denial around the trail."""
+    """Every decision point forwards into the one log: direct entries,
+    and the reference monitor's branch and sink checks."""
 
     def test_every_log_entry_reaches_the_trail(self):
-        trail = AuditTrail()
-        log = AuditLog(trail=trail)
+        """Every entry lands in the records and in ``audit.seen``;
+        ``denials`` is ``len(denied())`` — errors and other non-granted
+        outcomes are not refusals."""
+        log = AuditLog()
         log.log(1, "p", "o", "r", "granted")
         log.log(2, "p", "o", "w", "denied", "no", ring=4, category="mac")
-        assert trail.seen == 2
-        assert trail.denials == 1
-        rec = trail.denied()[0]
-        assert rec.ring == 4 and rec.category == "mac"
+        log.log(3, "p", "o", "call", "error", "boom", category="gate")
+        log.log(4, "kernel", "site", "drop", "injected")
+        assert log.denials == len(log.denied()) == 1
+        registry = MetricsRegistry()
+        log.register_metrics(registry)
+        counters = registry.snapshot()["counters"]
+        assert (counters["audit.seen"], counters["audit.denials"]) == (4, 1)
 
     def test_monitor_denials_land_in_trail_with_category(self):
-        trail = AuditTrail()
-        rm = ReferenceMonitor(audit=AuditLog(trail=trail))
+        rm = ReferenceMonitor(audit=AuditLog())
         with pytest.raises(AccessDenied):
             rm.check(subject(), branch(acl=Acl.make(("*.*.*", "r"))),
                      AccessMode.W, ring=4)
@@ -101,19 +75,32 @@ class TestLogForwarding:
         with pytest.raises(AccessDenied):
             rm.check(subject(level=2), branch(label=SecurityLabel(0)),
                      AccessMode.W)
-        assert len(rm.audit.denied()) == 3
-        assert [r.category for r in trail.denied()] == ["acl", "mac", "mac"]
-        assert trail.denied()[0].ring == 4
+        denied = rm.audit.denied()
+        assert [r.category for r in denied] == ["acl", "mac", "mac"]
+        assert denied[0].ring == 4
+        assert rm.denials == rm.audit.denials == 3
+
+    def test_sink_write_is_a_monitor_decision(self):
+        rm = ReferenceMonitor(audit=AuditLog())
+        rm.check_sink_write(subject(level=0), "net:h", SecurityLabel(0),
+                            "the channel")
+        with pytest.raises(AccessDenied):
+            rm.check_sink_write(subject(level=2), "net:h",
+                                SecurityLabel(0), "the channel", ring=4)
+        (record,) = rm.audit.records  # a grant is not logged
+        assert (record.object, record.category, record.ring) == (
+            "net:h", "mac", 4)
+        assert (rm.checks, rm.denials) == (2, 1)
 
 
 class TestSystemCompleteness:
-    """Replayed deny scenarios against a booted system: each refusal in
-    the kernel's AuditLog has a matching trail record."""
+    """Replayed deny scenarios against a booted system: each refusal
+    has its record in the kernel's AuditLog."""
 
-    def make_system(self, **overrides):
+    def make_system(self):
         from repro import kernel_config
 
-        system = MulticsSystem(kernel_config(**overrides)).boot()
+        system = MulticsSystem(kernel_config()).boot()
         system.register_user("Alice", "Crypto", "alice-pw")
         system.register_user("Eve", "Spies", "eve-pw")
         return system
@@ -136,64 +123,28 @@ class TestSystemCompleteness:
         return alice, eve
 
     def test_every_deny_has_a_trail_record(self):
+        """Each refusal provoked above is in the log, and the log
+        agrees with the counters the meters and the reference monitor
+        keep on their own."""
         system = self.make_system()
         self.provoke_denials(system)
-        log_denied = [r for r in system.audit.records
-                      if r.outcome != "granted"]
-        trail_denied = system.audit_trail.denied()
-        assert len(log_denied) >= 3
-        assert len(trail_denied) == len(log_denied)
-        for log_rec, trail_rec in zip(log_denied, trail_denied):
-            assert (log_rec.time, log_rec.subject, log_rec.object,
-                    log_rec.outcome) == (
-                trail_rec.time, trail_rec.principal, trail_rec.object,
-                trail_rec.decision)
-
-    def test_deny_level_trail_holds_no_grants(self):
-        system = self.make_system(audit_level="deny")
-        # A grants-only run: login and legitimate work.
-        alice = system.login("Alice", "Crypto", "alice-pw")
-        segno = alice.create_segment("mine")
-        alice.write_words(segno, [1])
-        assert alice.read_words(segno, 1) == [1]
-        trail = system.audit_trail
-        assert all(r.decision != "granted" for r in trail.records())
-        # The kernel's own log still saw the grants.
-        assert any(r.outcome == "granted" for r in system.audit.records)
-
-    def test_trail_wraparound_on_a_live_system(self):
-        """A system whose workload overflows the trail's ring buffer:
-        sequence numbers stay strictly monotonic past the wrap, the
-        export stays well-formed, and the books still balance."""
-        system = self.make_system(audit_capacity=16)
-        self.provoke_denials(system)
-        alice = system.login("Alice", "Crypto", "alice-pw")
-        for i in range(30):  # plenty of granted decisions past capacity
-            alice.create_segment(f"wrap{i}")
-        trail = system.audit_trail
-        assert trail.seen > trail.capacity
-        assert trail.dropped > 0
-        assert len(trail.records()) == trail.capacity
-        seqs = [r.seq for r in trail.records()]
-        assert seqs == sorted(seqs)
-        assert len(set(seqs)) == len(seqs)
-        assert seqs[-1] == trail.seen  # nothing skipped the funnel
-        # The export survives the wrap: schema intact, records complete.
-        doc = json.loads(trail.to_json())
-        assert doc["schema"] == "repro.audit/v1"
-        assert doc["seen"] == trail.seen
-        assert doc["dropped"] == trail.dropped
-        assert len(doc["records"]) == trail.capacity
-        assert [r["seq"] for r in doc["records"]] == seqs
-        required = {"seq", "time", "principal", "object", "action",
-                    "ring", "category", "decision", "detail"}
-        assert all(required <= set(r) for r in doc["records"])
+        denied = system.audit.denied()
+        assert [r.category for r in denied] == ["acl", "gate", "args",
+                                                "ring"]
+        assert system.audit.denials == len(denied)
+        checks = system.services.audit_cross_check()
+        assert checks == {"gate": (3, 3), "monitor": (1, 1)}
+        doc = json.loads(system.audit.to_json())
+        exported = [r for r in doc["records"] if r["decision"] == "denied"]
+        assert [(r["time"], r["principal"], r["object"])
+                for r in exported] == [
+            (r.time, r.subject, r.object) for r in denied]
 
     def test_revocation_sweeps_are_recorded(self):
         system = self.make_system()
         alice = system.login("Alice", "Crypto", "alice-pw")
         alice.create_segment("shared")
         alice.set_acl("shared", "Eve.Spies", "r")
-        revocations = system.audit_trail.by_category("revocation")
+        revocations = system.audit.by_category("revocation")
         assert revocations
         assert all(r.action == "revoke" for r in revocations)

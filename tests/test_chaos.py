@@ -188,9 +188,8 @@ class TestControllers:
         assert services.injector.injected == [
             (system.clock.now, "link.uplink", "drop")
         ]
-        records = [r for r in system.audit_trail.records()
-                   if r.object == "link.uplink"]
-        assert records and records[0].decision == "injected"
+        records = system.audit.by_object("link.uplink")
+        assert records and records[0].outcome == "injected"
         system.shutdown()
 
     def test_unknown_link_site_raises_at_apply(self):
@@ -310,6 +309,5 @@ class TestEngineMetrics:
         system.clock.advance(1)
         engine.step()
         assert engine.injector.injected_count == 1
-        assert any(r.object == "link.uplink"
-                   for r in system.audit_trail.records())
+        assert system.audit.by_object("link.uplink")
         system.shutdown()

@@ -31,7 +31,7 @@ def boot_and_run(n_cpus: int, tracing: bool, metering: bool,
     assert [j.result for j in jobs] == [96] * 8
     return (
         system.metrics.to_json(),
-        system.audit_trail.to_json(),
+        system.audit.to_json(),
         system.clock.now,
     )
 
@@ -138,7 +138,7 @@ def storm_run(seed: int):
     assert engine.applied  # the storm actually fired
     return (
         system.metrics.to_json(),
-        system.audit_trail.to_json(),
+        system.audit.to_json(),
         system.clock.now,
     )
 

@@ -237,7 +237,7 @@ def complex_run(fast: bool, n_cpus: int):
     assert [j.result for j in jobs] == [96] * 8
     return (
         system.metrics.to_json(),
-        system.audit_trail.to_json(),
+        system.audit.to_json(),
         system.clock.now,
     )
 

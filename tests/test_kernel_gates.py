@@ -144,6 +144,27 @@ class TestGateTable:
             table.call(user_process(), "t_$crash")
         assert services.supervisor_incidents == 1
 
+    def test_handler_crash_is_an_error_not_a_denial(self, config):
+        """A crashed handler logs one ``error`` record and one incident;
+        the ``audit.denials`` counter counts exactly what ``denied()``
+        returns, so the crash is not counted as a refusal."""
+        services, table = self.make_table(config)
+
+        def bad_handler(s, p):
+            raise IndexError("walked off the input")
+
+        table.register(Gate("t_$crash", "test", bad_handler, ()))
+        table.register(Gate("t_$one", "test", lambda s, p, a: a, ("int",)))
+        with pytest.raises(InvalidArgument):
+            table.call(user_process(), "t_$one", "x")
+        with pytest.raises(IndexError):
+            table.call(user_process(), "t_$crash")
+        error = services.audit.records[-1]
+        assert (error.object, error.outcome) == ("t_$crash", "error")
+        assert services.supervisor_incidents == 1
+        counters = services.metrics.snapshot()["counters"]
+        assert counters["audit.denials"] == len(services.audit.denied()) == 1
+
     def test_cross_ring_cost_charged(self, config):
         from repro.config import RingMode
 
@@ -167,6 +188,36 @@ class TestGateTable:
         # The handler runs in ring 0; the caller returns to ring 4.
         assert table.call(process, "t_$x") == 0
         assert process.ring == 4
+
+
+class TestUnknownGate:
+    """A call naming a gate the supervisor does not export is a refusal
+    like any other: audited, and counted as a rejection."""
+
+    def test_unknown_gate_call_is_audited_and_rejected(self):
+        from repro import MulticsSystem, kernel_config
+        from repro.config import USER_RING
+        from repro.kernel.specialize import KernelProfiler
+
+        system = MulticsSystem(kernel_config()).boot()
+        system.register_user("Alice", "Crypto", "alice-pw")
+        session = system.login("Alice", "Crypto", "alice-pw")
+        gates = system.supervisor.gates
+        profiler = KernelProfiler(system)
+        before, rejections = len(system.audit), gates.rejections
+        with pytest.raises(GateViolationError):
+            session.call("hcs_$no_such_gate", 1)
+        (record,) = system.audit.records[before:]
+        assert (record.object, record.action, record.outcome,
+                record.category, record.ring) == (
+            "hcs_$no_such_gate", "call", "denied", "unknown_gate",
+            USER_RING)
+        assert gates.rejections == rejections + 1
+        # The name is caller-chosen: no per-name meter, no profile entry.
+        assert "hcs_$no_such_gate" not in system.meters.gate_usage()
+        assert "hcs_$no_such_gate" not in profiler.profile("probe").gates
+        checks = system.services.audit_cross_check()
+        assert all(audited == counted for audited, counted in checks.values())
 
 
 class TestDenyStubGates:

@@ -95,7 +95,7 @@ class TestShardSpec:
             shard_id=1,
             report=WorkloadReport(users=3, admitted=3),
             snapshot={"counters": {"a.b": 1}},
-            audit={"seen": 2, "dropped": 0, "denials": 1},
+            audit={"seen": 2, "denials": 1},
         )
         back = pickle.loads(pickle.dumps(result))
         assert back.shard_id == 1
@@ -138,7 +138,7 @@ def _result(shard_id, *, counters=None, gauges=None, histograms=None,
             "counters": counters or {}, "gauges": gauges or {},
             "histograms": histograms or {},
         },
-        audit=audit or {"seen": 0, "dropped": 0, "denials": 0},
+        audit=audit or {"seen": 0, "denials": 0},
     )
 
 
@@ -206,11 +206,10 @@ class TestMerge:
 
     def test_audits_sum_with_per_shard_rows(self):
         merged = merge_audits([
-            _result(1, audit={"seen": 10, "dropped": 1, "denials": 4}),
-            _result(0, audit={"seen": 7, "dropped": 0, "denials": 2}),
+            _result(1, audit={"seen": 10, "denials": 4}),
+            _result(0, audit={"seen": 7, "denials": 2}),
         ])
         assert merged["seen"] == 17
-        assert merged["dropped"] == 1
         assert merged["denials"] == 6
         assert [row["shard_id"] for row in merged["per_shard"]] == [0, 1]
 
@@ -331,7 +330,7 @@ class TestMergeEdgeCases:
                        clock=40,
                        report=WorkloadReport(users=2, admitted=2,
                                              start_clock=1, end_clock=40),
-                       audit={"seen": 5, "dropped": 0, "denials": 1})
+                       audit={"seen": 5, "denials": 1})
         idle = _result(1)
         merged = merge_snapshots([busy, idle])
         assert merged["counters"] == {"x.a": 3}
@@ -364,10 +363,9 @@ class TestMergeEdgeCases:
         ])
         assert merged["histograms"]["w.lat"] == empty
 
-    def test_empty_audit_trails_sum_to_zero(self):
+    def test_empty_audits_sum_to_zero(self):
         merged = merge_audits([_result(0), _result(1)])
-        assert (merged["seen"], merged["dropped"], merged["denials"]) \
-            == (0, 0, 0)
+        assert (merged["seen"], merged["denials"]) == (0, 0)
         assert [row["shard_id"] for row in merged["per_shard"]] == [0, 1]
 
     def test_timeline_merge_skips_timelineless_shards(self):

@@ -177,16 +177,18 @@ class TestSpecializedKernel:
         kernel = specialize(system, profile)
         session = system.login("Eve", "Spies", "eve-pw")
         denials_before = len(system.audit.denied())
-        trail_before = system.audit_trail.denials
+        audited, metered = system.services.audit_cross_check()["gate"]
         with pytest.raises(SpecializationDenial):
             kernel.call(session.process, "net_$send", "remote", "data")
         assert kernel.gates.deny_stub_hits == 1
-        # One funnel: the denial is in the audit log and on the trail.
+        # One funnel: the denial is in the audit log, and the per-gate
+        # meters counted it independently.
         denied = system.audit.denied()
         assert len(denied) == denials_before + 1
         assert denied[-1].object == "net_$send"
         assert denied[-1].category == "gate"
-        assert system.audit_trail.denials == trail_before + 1
+        assert system.services.audit_cross_check()["gate"] == (
+            audited + 1, metered + 1)
 
     def test_stub_keeps_ring_brackets(self, trained):
         system, profile = trained
@@ -258,7 +260,8 @@ class TestSpecializedKernel:
 
 class TestPenetrationRegression:
     def _deny_complete(self, system):
-        return system.audit_trail.denials == len(system.audit.denied())
+        checks = system.services.audit_cross_check()
+        return all(audited == counted for audited, counted in checks.values())
 
     def test_full_kernel_still_holds(self, kernel_system):
         report = run_penetration_suite(kernel_system)

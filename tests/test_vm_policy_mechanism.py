@@ -161,7 +161,7 @@ class TestPolicies:
         )
         assert moves <= len(seg.homes)
 
-    def test_audit_trail_records_gate_calls(self, setup):
+    def test_mechanism_audit_records_gate_calls(self, setup):
         pc, mechanism, seg, hierarchy = setup
         SensibleRemovalPolicy().make_room(mechanism.gates(), target=3)
         gates_used = {entry[0] for entry in mechanism.audit}

@@ -182,9 +182,6 @@ class TestWorkloadReport:
                 "users_per_sec", "cycles_per_sec", "p50_latency_cycles",
                 "p95_latency_cycles"}
         assert set(WorkloadReport().to_dict()) == keys
-        # The cProfile dump only appears when a profiled run filled it.
-        profiled = WorkloadReport(profile="ncalls tottime ...")
-        assert set(profiled.to_dict()) == keys | {"profile"}
 
 
 def drive(n=N_SMOKE, seed=1975, **config):
@@ -249,20 +246,6 @@ class TestWorkloadDriver:
                 report.latencies,
             ))
         assert outcomes[0] == outcomes[1]
-
-    def test_profiling_hook_attaches_dump(self):
-        """SystemConfig.profiling wraps the run in cProfile and hangs
-        the top-N dump on the report — without touching any simulated
-        result (same clock as the unprofiled run)."""
-        system, _, report = drive(profiling=True)
-        assert report.profile
-        assert "cumulative" in report.profile
-        assert "profile" in report.to_dict()
-        plain_system, _, plain = drive()
-        assert plain.profile == ""
-        assert "profile" not in plain.to_dict()
-        assert system.clock.now == plain_system.clock.now
-        assert report.latencies == plain.latencies
 
     def test_legacy_supervisor_rejected(self):
         system = MulticsSystem(legacy_config()).boot()
