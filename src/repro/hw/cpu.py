@@ -95,9 +95,11 @@ class CodeSegment:
 
     The fast interpreter (:meth:`CPU.stepper` with ``fast_path``)
     caches a decoded form of ``instructions`` — plain
-    ``(opcode, a, b, c)`` int tuples — on the segment, so a program
-    shared by thousands of processes decodes once.  The cache is
-    invalidated whenever the instruction list is replaced or resized.
+    ``(opcode, a, b, c)`` tuples — and the superblocks compiled from it
+    (a :class:`BlockTable`) on the segment, so a
+    program shared by thousands of processes decodes and compiles
+    once.  Both caches are rebuilt whenever the instruction list is
+    replaced or resized.
     """
 
     instructions: list[Instruction]
@@ -105,6 +107,8 @@ class CodeSegment:
     _decoded: list | None = field(default=None, repr=False, compare=False)
     _decoded_src: list | None = field(default=None, repr=False,
                                       compare=False)
+    _blocks: BlockTable | None = field(default=None, repr=False,
+                                       compare=False)
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -160,6 +164,365 @@ def _decoded_for(code: CodeSegment) -> list[tuple[int, int, int, int]]:
         code._decoded = decoded
         code._decoded_src = code.instructions
     return decoded
+
+
+# ---------------------------------------------------------------------------
+# superblocks: straight-line runs compiled to Python for the fast loop
+# ---------------------------------------------------------------------------
+#
+# The fast interpreter pays for its checks one instruction at a time: a
+# fetch-legality probe, a dispatch on the opcode, a stack push or pop.
+# Between two control transfers nothing can change the outcome of a
+# fetch check — no instruction in a run of pure stack operations calls
+# out of the interpreter, so no ``cam`` can invalidate the cached
+# decision mid-run.  Each such run is compiled once into one Python
+# function; CPU._run_fast checks fetch legality once at the block's
+# entry and charges every instruction the cycles the per-instruction
+# path would have charged.
+#
+# A block covers a run of pure operations (PUSHI, LOADF, STOREF, the
+# ALU, DUP, POP, SWAP, NEG, NOT; DIV and MOD only by a nonzero PUSHI
+# constant) and may end in one JMP, JZ or JNZ, or in one LOAD, LOADI,
+# STORE or STOREI whose associative-memory hit path is inlined with the
+# same witness checks as AssociativeMemory.probe.  The operand stack
+# lives in Python locals inside the block.
+#
+# Blocks are all or nothing.  Every value is computed inside a ``try``
+# before anything is written back; if that part raises (a non-integer
+# operand, a float overflow in DIV), the block returns None having
+# changed nothing and the interpreter replays the same instructions one
+# at a time, so the fault lands on the same instruction with the same
+# counters.  On an AM miss or a failed witness the block writes back its
+# pure prefix, spills the memory operation's operands and returns that
+# operation's pc, which the interpreter then runs on its per-instruction
+# path at live counters.  Only the final core access can raise past a
+# block, after every instruction in it has taken effect.
+#
+# Only operands with ``type(x) is int`` that fit a 64-bit word are
+# placed into generated source; an instruction with any other operand
+# ends the block before it and runs on the per-instruction path.  The
+# generated code sees no builtins other than ``int`` and ``Exception``.
+
+_ARITH = {_ADD: "+", _SUB: "-", _MUL: "*"}
+_COMPARE = {_EQ: "==", _NE: "!=", _LT: "<", _LE: "<=", _GT: ">", _GE: ">="}
+_BRANCHES = (_JMP, _JZ, _JNZ)
+_MEMORY = (_LOAD, _LOADI, _STORE, _STOREI)
+#: Ops after which the next instruction starts a block.
+_ENDS = _BRANCHES + _MEMORY + (_CALL, _CALLL, _RET, _HALT)
+#: Deepest an expression may nest before its value is bound to a temp.
+#: A chain of ALU, compare, NEG or NOT ops nests once per instruction,
+#: and CPython refuses source nested about 200 deep.
+_MAX_DEPTH = 32
+
+#: The whole namespace generated code runs in.
+_BLOCK_GLOBALS = {"__builtins__": {"int": int, "Exception": Exception},
+                  "R": Intent.READ, "W": Intent.WRITE}
+
+
+class BlockTable:
+    """The compiled blocks of one decoded code segment, by start pc.
+
+    ``blocks[pc]`` is None until a block starting at ``pc`` is first
+    wanted, then either ``()`` (the instruction at ``pc`` cannot start
+    a block) or ``(fn, n, need, max_slot, mem_pc)``:
+
+    * ``fn(stack, slots, entries, ring, page_size, read, write)`` runs
+      the block and returns the next pc (None if it changed nothing;
+      ``mem_pc`` on an AM miss of its memory operation);
+    * ``n`` instructions, the last of which is the memory operation at
+      ``mem_pc`` when there is one (``mem_pc`` is None otherwise);
+    * it pops at most ``need`` values below its own pushes, and touches
+      frame slots up to ``max_slot``.
+
+    Blocks end at leaders — jump targets and the instruction after any
+    control transfer or memory operation — so each instruction belongs
+    to one block, except where execution resumes mid-run (a quantum
+    boundary, a call target inside a run); a block compiled from there
+    runs to the same end.
+    """
+
+    __slots__ = ("decoded", "leaders", "blocks")
+
+    def __init__(self, decoded: list[tuple[int, int, int, int]]) -> None:
+        self.decoded = decoded
+        self.leaders = {0}
+        for pc, (op, a, _, _) in enumerate(decoded):
+            if op in _BRANCHES and _word(a):
+                self.leaders.add(a)
+            if op in _ENDS:
+                self.leaders.add(pc + 1)
+        self.blocks: list[tuple | None] = [None] * len(decoded)
+
+    def build(self, pc: int) -> tuple:
+        block = self.blocks[pc] = _BlockCompiler(self, pc).compile()
+        return block
+
+
+def block_table(code: CodeSegment) -> BlockTable:
+    """The block table cached on ``code``, rebuilt whenever its decoded
+    form is (the decoded cache's staleness rule), so a program shared by
+    a whole population compiles each block once."""
+    decoded = _decoded_for(code)
+    table = code._blocks
+    if table is None or table.decoded is not decoded:
+        table = code._blocks = BlockTable(decoded)
+    return table
+
+
+class _Value:
+    """A symbolic operand-stack entry: a Python expression, how deeply
+    it nests, the int it is when it came from a PUSHI, and — for a
+    comparison — the bare condition, so a JZ/JNZ tests it without
+    materializing 0/1."""
+
+    __slots__ = ("expr", "depth", "const", "cond")
+
+    def __init__(self, expr: str, depth: int = 0, const: int | None = None,
+                 cond: str | None = None) -> None:
+        self.expr = expr
+        self.depth = depth
+        self.const = const
+        self.cond = cond
+
+
+class _BlockCompiler:
+    def __init__(self, table: BlockTable, start: int) -> None:
+        self.table = table
+        self.start = start
+        self.body: list[str] = []   # the all-or-nothing part
+        self.stack: list[_Value] = []
+        self.need = 0               # inputs x1.. read from the real stack
+        self.slot_reads: dict[int, str] = {}
+        self.slot_writes: dict[int, str] = {}
+        self.max_slot = -1
+        self.temps = 0
+
+    # -- symbolic stack --------------------------------------------------
+
+    def pop(self) -> _Value:
+        if self.stack:
+            return self.stack.pop()
+        self.need += 1
+        return _Value(f"x{self.need}")
+
+    def atom(self, value: _Value) -> str:
+        """``value`` as a name or literal: evaluate it into a temp so a
+        second use does not repeat the work."""
+        expr = value.expr
+        if expr.isidentifier() or value.const is not None:
+            return expr
+        self.temps += 1
+        name = f"t{self.temps}"
+        self.body.append(f"{name} = {expr}")
+        return name
+
+    def push(self, expr: str, depth: int, cond: str | None = None) -> None:
+        """Push ``expr``, which nests ``depth`` deep; bound to a temp
+        once that reaches :data:`_MAX_DEPTH`."""
+        if depth >= _MAX_DEPTH:
+            self.stack.append(_Value(self.atom(_Value(expr))))
+        else:
+            self.stack.append(_Value(expr, depth, cond=cond))
+
+    # -- one instruction -------------------------------------------------
+
+    def pure(self, op: int, a) -> bool:
+        """Emit one pure op; False if it cannot go in a block."""
+        stack = self.stack
+        if op == _PUSHI:
+            if not _word(a):
+                return False
+            stack.append(_Value(repr(a) if a >= 0 else f"({a})", const=a))
+        elif op == _LOADF or op == _STOREF:
+            if not _word(a) or a < 0:
+                return False
+            self.max_slot = max(self.max_slot, a)
+            if op == _STOREF:
+                self.slot_writes[a] = self.atom(self.pop())
+            elif a in self.slot_writes:
+                stack.append(_Value(self.slot_writes[a]))
+            else:
+                if a not in self.slot_reads:
+                    self.slot_reads[a] = self.atom(_Value(f"slots[{a}]"))
+                stack.append(_Value(self.slot_reads[a]))
+        elif op in _ARITH:
+            rhs, lhs = self.pop(), self.pop()
+            self.push(f"({lhs.expr} {_ARITH[op]} {rhs.expr})",
+                      1 + max(lhs.depth, rhs.depth))
+        elif op in _COMPARE:
+            rhs, lhs = self.pop(), self.pop()
+            cond = f"({lhs.expr} {_COMPARE[op]} {rhs.expr})"
+            # Two levels: the condition and the 0/1 around it.
+            self.push(f"(1 if {cond} else 0)",
+                      2 + max(lhs.depth, rhs.depth), cond)
+        elif op == _DIV or op == _MOD:
+            if not stack or not stack[-1].const:
+                return False
+            c = self.pop().expr
+            lhs = self.atom(self.pop())
+            quot = f"int({lhs} / {c})"  # truncate toward zero, as _div
+            # Evaluate here: a discarded quotient must still overflow.
+            stack.append(_Value(self.atom(_Value(
+                quot if op == _DIV else f"{lhs} - {quot} * {c}"))))
+        elif op == _NEG:
+            value = self.pop()
+            self.push(f"(-{value.expr})", 1 + value.depth)
+        elif op == _NOT:
+            value = self.pop()
+            self.push(f"(0 if {value.expr} else 1)", 1 + value.depth)
+        elif op == _DUP:
+            value = self.pop()
+            name = _Value(self.atom(value), const=value.const)
+            stack += (name, name)
+        elif op == _POP:
+            value = self.pop()
+            if not value.expr.isidentifier() and value.const is None:
+                self.body.append(value.expr)  # evaluated, then dropped
+        elif op == _SWAP:
+            top, under = self.pop(), self.pop()
+            stack += (top, under)
+        else:
+            return False
+        return True
+
+    def compile(self) -> tuple:
+        decoded = self.table.decoded
+        leaders = self.table.leaders
+        pc = self.start
+        tail: list[str] = []        # after write-back
+        mem_pc = None
+        while pc < len(decoded):
+            if pc != self.start and pc in leaders:
+                break
+            op, a, b, _ = decoded[pc]
+            if op in _BRANCHES:
+                if not _word(a):
+                    break
+                pc += 1
+                if op == _JMP:
+                    tail.append(f"return {a}")
+                else:
+                    value = self.pop()
+                    if value.cond is not None:
+                        taken = (f"not {value.cond}" if op == _JZ
+                                 else value.cond)
+                    else:
+                        taken = (f"{value.expr} == 0" if op == _JZ
+                                 else f"{value.expr} != 0")
+                    self.body.append(f"taken = {taken}")
+                    tail.append(f"return {a} if taken else {pc}")
+                break
+            if op in _MEMORY:
+                if not self.memory(op, a, b, pc, tail):
+                    break
+                mem_pc = pc
+                pc += 1
+                break
+            if not self.pure(op, a):
+                break
+            pc += 1
+        n = pc - self.start
+        if n == 0:
+            return ()
+        if not tail:
+            tail.append(f"return {pc}")
+        source = self.source(tail)
+        try:
+            code = compile(source, f"<block @{self.start}>", "exec")
+        except (SyntaxError, RecursionError):
+            # A limit of the host compiler, not of the program: run
+            # these instructions on the per-instruction path.
+            return ()
+        namespace: dict = {}
+        exec(code, _BLOCK_GLOBALS, namespace)
+        return (namespace["block"], n, self.need, self.max_slot, mem_pc)
+
+    def memory(self, op: int, a, b, pc: int, tail: list[str]) -> bool:
+        """Emit the inlined AM-hit path of a memory op ending the block."""
+        if not _word(a):
+            return False
+        if op == _LOAD or op == _STORE:
+            if not _word(b) or b < 0:
+                return False
+            off = repr(b)
+        if op == _STOREI:
+            off = self.atom(self.pop())
+        if op == _STORE or op == _STOREI:
+            value = self.atom(self.pop())
+        if op == _LOADI:
+            off = self.atom(self.pop())
+        intent = "R" if op == _LOAD or op == _LOADI else "W"
+        body = self.body
+        body.append("frame = None")
+        indent = ""
+        if op == _LOADI or op == _STOREI:
+            body.append(f"if {off} >= 0:")
+            indent = "    "
+        body += [
+            f"{indent}pg = {off} // ps",
+            f"{indent}e = entries.get(({a}, pg, ring, {intent}))",
+            f"{indent}if e is not None:",
+            f"{indent}    fr, ptw, bound = e",
+            f"{indent}    if {off} < bound and ptw.in_core"
+            f" and ptw.frame == fr:",
+            f"{indent}        frame = fr",
+            f"{indent}        word = {off} - pg * ps",
+        ]
+        tail.append("if frame is not None:")
+        tail.append("    ptw.used = True")
+        if intent == "W":
+            tail.append("    ptw.modified = True")
+            tail.append(f"    write(frame, word, {value})")
+        else:
+            tail.append("    stack.append(read(frame, word))")
+        tail.append(f"    return {pc + 1}")
+        # Miss: spill the operands for the per-instruction path.
+        spill = ([value] if op == _STORE or op == _STOREI else []) + (
+            [off] if op == _LOADI or op == _STOREI else [])
+        if spill:
+            tail.append(_push_source(spill))
+        tail.append(f"return {pc}")
+        return True
+
+    def source(self, tail: list[str]) -> str:
+        """The block's function: read inputs, compute (all or nothing),
+        write back slots and stack, then ``tail``."""
+        final = [self.atom(v) for v in self.stack]
+        need = self.need
+        inputs = [f"x{k}" for k in range(need, 0, -1)]  # bottom first
+        keep = 0
+        while keep < min(need, len(final)) and final[keep] == inputs[keep]:
+            keep += 1
+        lines = ["def block(stack, slots, entries, ring, ps, read, write):"]
+        if need == 1:
+            lines.append("    x1 = stack[-1]")
+        elif need:
+            lines.append(f"    {', '.join(inputs)} = stack[-{need}:]")
+        lines.append("    try:")
+        lines += [f"        {line}" for line in self.body or ["pass"]]
+        lines.append("    except Exception:")
+        lines.append("        return None")
+        for slot, name in self.slot_writes.items():
+            lines.append(f"    slots[{slot}] = {name}")
+        if need - keep == 1:
+            lines.append("    del stack[-1]")
+        elif need > keep:
+            lines.append(f"    del stack[-{need - keep}:]")
+        if len(final) > keep:
+            lines.append(f"    {_push_source(final[keep:])}")
+        lines += [f"    {line}" for line in tail]
+        return "\n".join(lines) + "\n"
+
+
+def _word(x) -> bool:
+    """May ``x`` be written into generated source as a literal?"""
+    return type(x) is int and -(1 << 63) <= x < (1 << 63)
+
+
+def _push_source(names: list[str]) -> str:
+    if len(names) == 1:
+        return f"stack.append({names[0]})"
+    return f"stack += ({', '.join(names)})"
 
 
 @dataclass
@@ -244,11 +607,11 @@ class CPU:
         self.meters = meters
         #: Which CPU of the complex this is (0 on a uniprocessor).
         self.cpu_id = cpu_id
-        #: Run the inlined interpreter loop (decoded instructions,
-        #: inlined AM probes, hoisted attribute chains).  Cycle charges,
-        #: counters, and fault behaviour are byte-identical to the
-        #: classic loop — bench E18's equivalence leg holds the two
-        #: against each other.
+        #: Run the superblock interpreter loop (decoded instructions,
+        #: compiled straight-line blocks, batched counters).  Cycle
+        #: charges, counters, and fault behaviour are byte-identical to
+        #: the classic loop — bench E18's equivalence leg and
+        #: tests/test_blocks.py hold the two against each other.
         self.fast_path = fast_path
         #: A per-CPU associative memory, as on the real 6180 where the
         #: AM is processor hardware, not process state.  When set, it is
@@ -304,17 +667,22 @@ class CPU:
         With a private (per-CPU) AM, connecting the CPU to a different
         descriptor segment cams it first: entries witnessed against the
         previous process's dseg must never satisfy another process's
-        references.
+        references.  While connected, the CPU's AM is registered on the
+        dseg, so the table's own selective cams reach it.
         """
         if not self.am_enabled:
             return None
-        if self.private_am is None:
+        am = self.private_am
+        if am is None:
             return ctx.dseg.am
         if self._am_dseg is not ctx.dseg:
-            if self._am_dseg is not None:
-                self.private_am.cam()
+            old = self._am_dseg
+            if old is not None:
+                am.cam()
+                old.cpu_ams = tuple(a for a in old.cpu_ams if a is not am)
+            ctx.dseg.cpu_ams += (am,)
             self._am_dseg = ctx.dseg
-        return self.private_am
+        return am
 
     # -- memory helpers ---------------------------------------------------
 
@@ -535,10 +903,14 @@ class CPU:
             elif op is Op.NOT:
                 stack.append(0 if self._pop(stack) else 1)
             elif op is Op.DUP:
+                if not stack:
+                    raise IllegalInstruction("operand stack underflow")
                 stack.append(stack[-1])
             elif op is Op.POP:
                 self._pop(stack)
             elif op is Op.SWAP:
+                if len(stack) < 2:
+                    raise IllegalInstruction("operand stack underflow")
                 stack[-1], stack[-2] = stack[-2], stack[-1]
             elif op is Op.JMP:
                 pc = inst.a
@@ -582,30 +954,36 @@ class CPU:
         args: list[int] | None = None,
         max_instructions: int = 1_000_000,
     ):
-        """The inlined interpreter loop (see :meth:`stepper` for the
+        """The superblock interpreter loop (see :meth:`stepper` for the
         driving protocol).
 
         Architecturally identical to :meth:`_run`: same checks in the
         same order, same cycle charges, same counters, same faults.
-        What changes is the Python: instructions are decoded to int
-        tuples once per code segment, the AM probe and the translate
-        hit case are inlined (any non-hit falls back to the classic
-        :meth:`_translate` *before* touching a counter), cost constants
-        and bound methods are hoisted out of the loop, and the
-        generator suspends once per cycle target instead of once per
-        instruction.
+        What changes is the Python.  Straight-line runs of each code
+        segment are compiled once to Python functions
+        (:class:`BlockTable`, cached on the :class:`CodeSegment`).
+        A block runs only if its fetch legality is cached in the AM at
+        entry and the whole block fits the cycle target, the
+        instruction budget, the operand stack and the frame; it is then
+        charged, per instruction, exactly the fetch hit and instruction
+        cost the per-instruction path charges, plus the AM hit and core
+        access of a memory op that ends it.  One fetch check per block
+        is sound because nothing inside a block calls out of the
+        interpreter, so no ``cam`` can occur mid-block.  Otherwise —
+        and for calls, returns, fetch misses, AM misses and anything
+        else a block does not cover — the per-instruction body below
+        runs, so every fault, underflow and quantum boundary lands on
+        the same instruction as in the classic loop.
 
-        Counter updates are *batched* (cProfile's single
-        biggest finding): the pure-hit loop accumulates cycle, hit,
-        and instruction deltas in locals and folds them into the
-        instance counters only at a boundary — a quantum yield, any
-        classic-path excursion (translate walk, fetch miss, call,
-        linkage), a return, or an exception (the ``finally`` below).
-        No event runs and nothing reads the counters between
-        boundaries, so every *observable* value — what the SMP round
-        accounting, the mid-fault virtual clock, the meters, and the
-        snapshot see — is identical to the eager classic loop; only
-        the per-instruction attribute writes disappear.
+        Counter updates are *batched*: cycle, hit and instruction
+        deltas accumulate in locals and fold into the instance counters
+        only at a boundary — a quantum yield, any classic-path excursion
+        (translate, fetch miss, call, linkage), a return, or an
+        exception (the ``finally`` below).  No event runs and nothing
+        reads the counters between boundaries, so every *observable*
+        value — what the SMP round accounting, the mid-fault virtual
+        clock, the meters, and the snapshot see — is identical to the
+        eager classic loop.
         """
         code = ctx.code_segment(segno)
         sdw = ctx.dseg.get(segno)
@@ -617,6 +995,7 @@ class CPU:
         frames: list[_Frame] = [
             _Frame(-1, -1, ctx.ring, list(args or []), 0)
         ]
+        slots = frames[0].slots
         ctx.ring = new_ring
         pc = entry
         executed = 0
@@ -629,15 +1008,18 @@ class CPU:
         walk_cost = costs.translate_walk
         core_cost = costs.core_access
         hit_core = hit_cost + core_cost
+        ih = inst_cost + hit_cost   # one instruction after a fetch hit
         page_size = self.page_size
         core_read = self.core.read
         core_write = self.core.write
         translate_slow = self._translate
+        fold = self._fold
+        pop = self._pop
         dseg = ctx.dseg
         entries = am._entries if am is not None else None
-        R, W, F = Intent.READ, Intent.WRITE, Intent.FETCH
         ring = ctx.ring
-        decoded = _decoded_for(code)
+        table = block_table(code)
+        decoded, blocks = table.decoded, table.blocks
         n_inst = len(decoded)
         fkey = fetch_key(segno, ring)
 
@@ -645,16 +1027,16 @@ class CPU:
         # Pending counter deltas (see docstring): folded into the
         # instance counters at every boundary, never observable stale.
         cyc = 0      # -> self.cycles
-        hits = 0     # -> am.hits
-        hitc = 0     # -> self.am_hit_cycles
+        hits = 0     # -> am.hits (and hits * am_hit -> am_hit_cycles)
         wlkc = 0     # -> self.walk_cycles (AM-off fetch walks)
         ninst = 0    # -> self.instructions_executed
-        base = self.cycles
-        stall = self.stall_cycles
         try:
             while True:
                 limit = target if target is not None else _NO_TARGET
-                while base + cyc + stall < limit:
+                # Cycles left before the target, as of the last fold:
+                # "cycles + stall_cycles < target" is "cyc < room".
+                room = limit - self.cycles - self.stall_cycles
+                while cyc < room:
                     if executed >= max_instructions:
                         raise ExecutionLimit(
                             f"exceeded {max_instructions} instructions"
@@ -668,28 +1050,63 @@ class CPU:
                     # walk).
                     if entries is not None:
                         if fkey in entries:
+                            blk = blocks[pc]
+                            if blk is None:
+                                blk = table.build(pc)
+                            if blk:
+                                fn, n, need, max_slot, mem_pc = blk
+                                if (cyc + (n - 1) * ih < room
+                                        and executed + n <= max_instructions
+                                        and len(stack) >= need
+                                        and len(slots) > max_slot):
+                                    try:
+                                        npc = fn(stack, slots, entries, ring,
+                                                 page_size, core_read,
+                                                 core_write)
+                                    except BaseException:
+                                        # Only the final core access
+                                        # raises past a block: all of it
+                                        # has taken effect.
+                                        cyc += n * ih + hit_core
+                                        hits += n + 1
+                                        ninst += n
+                                        executed += n
+                                        raise
+                                    if npc is not None:
+                                        if npc != mem_pc:
+                                            cyc += n * ih
+                                            hits += n
+                                            if mem_pc is not None:
+                                                cyc += hit_core
+                                                hits += 1
+                                            ninst += n
+                                            executed += n
+                                            pc = npc
+                                            continue
+                                        # AM miss: the pure prefix ran;
+                                        # the memory op runs below.
+                                        n -= 1
+                                        cyc += n * ih
+                                        hits += n
+                                        ninst += n
+                                        executed += n
+                                        pc = npc
                             hits += 1
                             cyc += hit_cost
-                            hitc += hit_cost
                         else:
                             # Boundary: run the miss at live counters.
-                            self.cycles += cyc
-                            self.walk_cycles += wlkc
-                            self.instructions_executed += ninst
-                            if hits:
-                                am.hits += hits
-                                self.am_hit_cycles += hitc
-                            cyc = hits = hitc = wlkc = ninst = 0
+                            fold(cyc, wlkc, ninst, hits, am)
+                            cyc = hits = wlkc = ninst = 0
                             am.misses += 1
                             sdw = dseg.get(segno)
-                            check_access(sdw, ring, F)
+                            check_access(sdw, ring, Intent.FETCH)
                             self.cycles += walk_cost
                             self.walk_cycles += walk_cost
                             am.fetch_insert(segno, ring, sdw.uid)
-                            base = self.cycles
+                            room = limit - self.cycles - self.stall_cycles
                     else:
                         sdw = dseg.get(segno)
-                        check_access(sdw, ring, F)
+                        check_access(sdw, ring, Intent.FETCH)
                         cyc += walk_cost
                         wlkc += walk_cost
 
@@ -701,254 +1118,107 @@ class CPU:
 
                     if op == _PUSHI:
                         stack.append(a)
-                    elif op == _LOAD or op == _LOADI:
-                        if op == _LOAD:
-                            off = b
-                        else:
-                            if not stack:
-                                raise IllegalInstruction(
-                                    "operand stack underflow"
-                                )
-                            off = stack.pop()
-                        if entries is not None and off >= 0:
-                            pg = off // page_size
-                            e = entries.get((a, pg, ring, R))
-                            if e is not None:
-                                fr, ptw, bnd = e
-                                if (off < bnd and ptw.in_core
-                                        and ptw.frame == fr):
-                                    hits += 1
-                                    cyc += hit_core
-                                    hitc += hit_cost
-                                    ptw.used = True
-                                    stack.append(
-                                        core_read(fr, off - pg * page_size)
-                                    )
-                                    continue
-                        # Boundary: a fault inside the walk reads the
-                        # live counters for its virtual time.
-                        self.cycles += cyc
-                        self.walk_cycles += wlkc
-                        self.instructions_executed += ninst
-                        if hits:
-                            am.hits += hits
-                            self.am_hit_cycles += hitc
-                        cyc = hits = hitc = wlkc = ninst = 0
-                        fr, word = translate_slow(ctx, a, off, R)
+                    elif _LOAD <= op <= _STOREI:
+                        # A memory op no block completed: the checked
+                        # translation at live counters (a fault inside
+                        # the walk reads them for its virtual time).
+                        write = op == _STORE or op == _STOREI
+                        off = b if op == _LOAD or op == _STORE else pop(stack)
+                        if write:
+                            value = pop(stack)
+                        fold(cyc, wlkc, ninst, hits, am)
+                        cyc = hits = wlkc = ninst = 0
+                        intent = Intent.WRITE if write else Intent.READ
+                        fr, word = translate_slow(ctx, a, off, intent)
                         self.cycles += core_cost
-                        base = self.cycles
-                        stall = self.stall_cycles
-                        stack.append(core_read(fr, word))
-                    elif op == _STORE or op == _STOREI:
-                        if op == _STORE:
-                            off = b
-                            if not stack:
-                                raise IllegalInstruction(
-                                    "operand stack underflow"
-                                )
-                            value = stack.pop()
+                        room = limit - self.cycles - self.stall_cycles
+                        if write:
+                            core_write(fr, word, value)
                         else:
-                            if not stack:
-                                raise IllegalInstruction(
-                                    "operand stack underflow"
-                                )
-                            off = stack.pop()
-                            if not stack:
-                                raise IllegalInstruction(
-                                    "operand stack underflow"
-                                )
-                            value = stack.pop()
-                        if entries is not None and off >= 0:
-                            pg = off // page_size
-                            e = entries.get((a, pg, ring, W))
-                            if e is not None:
-                                fr, ptw, bnd = e
-                                if (off < bnd and ptw.in_core
-                                        and ptw.frame == fr):
-                                    hits += 1
-                                    cyc += hit_core
-                                    hitc += hit_cost
-                                    ptw.used = True
-                                    ptw.modified = True
-                                    core_write(
-                                        fr, off - pg * page_size, value
-                                    )
-                                    continue
-                        self.cycles += cyc
-                        self.walk_cycles += wlkc
-                        self.instructions_executed += ninst
-                        if hits:
-                            am.hits += hits
-                            self.am_hit_cycles += hitc
-                        cyc = hits = hitc = wlkc = ninst = 0
-                        fr, word = translate_slow(ctx, a, off, W)
-                        self.cycles += core_cost
-                        base = self.cycles
-                        stall = self.stall_cycles
-                        core_write(fr, word, value)
+                            stack.append(core_read(fr, word))
                     elif op == _LOADF:
-                        frame = frames[-1]
-                        slots = frame.slots
                         if 0 <= a < len(slots):
                             stack.append(slots[a])
                         else:
-                            self._check_slot(frame, a)
+                            self._check_slot(frames[-1], a)
                     elif op == _STOREF:
-                        frame = frames[-1]
-                        self._check_slot(frame, a, grow=True)
-                        if not stack:
-                            raise IllegalInstruction(
-                                "operand stack underflow"
-                            )
-                        frame.slots[a] = stack.pop()
-                    elif _ADD <= op <= _GE and op != _NEG:
-                        if not stack:
-                            raise IllegalInstruction(
-                                "operand stack underflow"
-                            )
-                        rhs = stack.pop()
-                        if not stack:
-                            raise IllegalInstruction(
-                                "operand stack underflow"
-                            )
-                        lhs = stack.pop()
-                        if op == _ADD:
-                            stack.append(lhs + rhs)
-                        elif op == _SUB:
-                            stack.append(lhs - rhs)
-                        elif op == _MUL:
-                            stack.append(lhs * rhs)
-                        elif op == _EQ:
-                            stack.append(int(lhs == rhs))
-                        elif op == _NE:
-                            stack.append(int(lhs != rhs))
-                        elif op == _LT:
-                            stack.append(int(lhs < rhs))
-                        elif op == _LE:
-                            stack.append(int(lhs <= rhs))
-                        elif op == _GT:
-                            stack.append(int(lhs > rhs))
-                        elif op == _GE:
-                            stack.append(int(lhs >= rhs))
-                        elif op == _DIV:
-                            stack.append(_div(lhs, rhs))
-                        else:
-                            stack.append(_mod(lhs, rhs))
+                        self._check_slot(frames[-1], a, grow=True)
+                        slots[a] = pop(stack)
+                    elif op in _INT_BINOPS:
+                        rhs = pop(stack)
+                        stack.append(_INT_BINOPS[op](pop(stack), rhs))
                     elif op == _JMP:
                         pc = a
                     elif op == _JZ:
-                        if not stack:
-                            raise IllegalInstruction(
-                                "operand stack underflow"
-                            )
-                        if stack.pop() == 0:
+                        if pop(stack) == 0:
                             pc = a
                     elif op == _JNZ:
-                        if not stack:
-                            raise IllegalInstruction(
-                                "operand stack underflow"
-                            )
-                        if stack.pop() != 0:
+                        if pop(stack) != 0:
                             pc = a
                     elif op == _NEG:
-                        if not stack:
-                            raise IllegalInstruction(
-                                "operand stack underflow"
-                            )
-                        stack.append(-stack.pop())
+                        stack.append(-pop(stack))
                     elif op == _NOT:
-                        if not stack:
-                            raise IllegalInstruction(
-                                "operand stack underflow"
-                            )
-                        stack.append(0 if stack.pop() else 1)
+                        stack.append(0 if pop(stack) else 1)
                     elif op == _DUP:
+                        if not stack:
+                            raise IllegalInstruction("operand stack underflow")
                         stack.append(stack[-1])
                     elif op == _POP:
-                        if not stack:
-                            raise IllegalInstruction(
-                                "operand stack underflow"
-                            )
-                        stack.pop()
+                        pop(stack)
                     elif op == _SWAP:
+                        if len(stack) < 2:
+                            raise IllegalInstruction("operand stack underflow")
                         stack[-1], stack[-2] = stack[-2], stack[-1]
-                    elif op == _CALL:
-                        # Boundary: call_cost reads the live counters.
-                        self.cycles += cyc
-                        self.walk_cycles += wlkc
-                        self.instructions_executed += ninst
-                        if hits:
-                            am.hits += hits
-                            self.am_hit_cycles += hitc
-                        cyc = hits = hitc = wlkc = ninst = 0
-                        segno, code, pc = self._do_call(
-                            ctx, frames, stack, segno, pc, a, b, c,
-                        )
-                        base = self.cycles
-                        stall = self.stall_cycles
-                        ring = ctx.ring
-                        decoded = _decoded_for(code)
-                        n_inst = len(decoded)
-                        fkey = fetch_key(segno, ring)
-                    elif op == _CALLL:
-                        self.cycles += cyc
-                        self.walk_cycles += wlkc
-                        self.instructions_executed += ninst
-                        if hits:
-                            am.hits += hits
-                            self.am_hit_cycles += hitc
-                        cyc = hits = hitc = wlkc = ninst = 0
-                        tgt = self._resolve_link(ctx, a)
-                        segno, code, pc = self._do_call(
-                            ctx, frames, stack, segno, pc, tgt[0], tgt[1], b,
-                        )
-                        base = self.cycles
-                        stall = self.stall_cycles
-                        ring = ctx.ring
-                        decoded = _decoded_for(code)
-                        n_inst = len(decoded)
-                        fkey = fetch_key(segno, ring)
-                    elif op == _RET:
-                        result = stack.pop() if stack else 0
-                        frame = frames.pop()
-                        ctx.ring = frame.return_ring
-                        ring = frame.return_ring
-                        if not frames:
-                            return result
-                        stack.append(result)
-                        segno = frame.return_segno
-                        code = ctx.code_segment(segno)
-                        pc = frame.return_pc
-                        decoded = _decoded_for(code)
-                        n_inst = len(decoded)
-                        fkey = fetch_key(segno, ring)
                     elif op == _HALT:
                         return stack[-1] if stack else 0
-                    else:  # pragma: no cover - enum is closed
-                        raise IllegalInstruction(
-                            f"cannot execute opcode {op}"
-                        )
+                    else:
+                        # Control transfers.  Boundary: call_cost reads
+                        # the live counters.
+                        fold(cyc, wlkc, ninst, hits, am)
+                        cyc = hits = wlkc = ninst = 0
+                        if op == _RET:
+                            result = stack.pop() if stack else 0
+                            frame = frames.pop()
+                            ctx.ring = frame.return_ring
+                            if not frames:
+                                return result
+                            stack.append(result)
+                            segno = frame.return_segno
+                            code = ctx.code_segment(segno)
+                            pc = frame.return_pc
+                        else:
+                            if op == _CALLL:
+                                a, b, c = *self._resolve_link(ctx, a), b
+                            segno, code, pc = self._do_call(
+                                ctx, frames, stack, segno, pc, a, b, c,
+                            )
+                        room = limit - self.cycles - self.stall_cycles
+                        ring = ctx.ring
+                        slots = frames[-1].slots
+                        table = block_table(code)
+                        decoded, blocks = table.decoded, table.blocks
+                        n_inst = len(decoded)
+                        fkey = fetch_key(segno, ring)
                 # Quantum boundary: fold the pending deltas so the SMP
                 # round accounting sees exact values while suspended.
-                self.cycles += cyc
-                self.walk_cycles += wlkc
-                self.instructions_executed += ninst
-                if hits:
-                    am.hits += hits
-                    self.am_hit_cycles += hitc
-                cyc = hits = hitc = wlkc = ninst = 0
+                fold(cyc, wlkc, ninst, hits, am)
+                cyc = hits = wlkc = ninst = 0
                 target = yield
-                base = self.cycles
-                stall = self.stall_cycles
         finally:
             # Returns and contained faults exit through here: fold
             # whatever is pending so job accounting stays exact.
-            self.cycles += cyc
-            self.walk_cycles += wlkc
-            self.instructions_executed += ninst
-            if hits:
-                am.hits += hits
-                self.am_hit_cycles += hitc
+            fold(cyc, wlkc, ninst, hits, am)
+
+    def _fold(self, cyc: int, wlkc: int, ninst: int, hits: int,
+              am: AssociativeMemory | None) -> None:
+        """Fold the fast loop's pending counter deltas into the CPU's
+        (and its AM's) counters."""
+        self.cycles += cyc
+        self.walk_cycles += wlkc
+        self.instructions_executed += ninst
+        if hits:
+            am.hits += hits
+            self.am_hit_cycles += hits * self.costs.am_hit
 
     # -- helpers -----------------------------------------------------------
 
@@ -1036,6 +1306,10 @@ _BINOPS = {
     Op.GT: lambda a, b: int(a > b),
     Op.GE: lambda a, b: int(a >= b),
 }
+
+
+#: The same operations by small-int opcode, for the fast loop.
+_INT_BINOPS = {_OPCODE[op]: fn for op, fn in _BINOPS.items()}
 
 
 def _div(a: int, b: int) -> int:

@@ -138,20 +138,34 @@ class DescriptorSegment:
     def __init__(self) -> None:
         self._sdws: dict[int, SDW] = {}
         self.am = AssociativeMemory()
+        #: Per-CPU associative memories connected to this table (SMP):
+        #: they cache its translations in place of :attr:`am`.  A CPU
+        #: stays connected after its job leaves, until it is connected
+        #: to another table (see ``CPU._am_for``).  A tuple: the empty
+        #: one is shared by the 10k tables no CPU is connected to.
+        self.cpu_ams: tuple[AssociativeMemory, ...] = ()
 
     def add(self, sdw: SDW) -> None:
         if sdw.segno in self._sdws:
             raise ValueError(f"segment number {sdw.segno} already in use")
         self._sdws[sdw.segno] = sdw
-        self.am.invalidate_segno(sdw.segno)
+        self.invalidate_segno(sdw.segno)
 
     def remove(self, segno: int) -> SDW:
         try:
             sdw = self._sdws.pop(segno)
         except KeyError:
             raise SegmentFault(segno, f"segment {segno} not in address space") from None
-        self.am.invalidate_segno(segno)
+        self.invalidate_segno(segno)
         return sdw
+
+    def invalidate_segno(self, segno: int) -> None:
+        """The selective ``cam`` for one segment number, in every AM
+        that may hold this table's decisions: an SDW added, removed or
+        rewritten (revocation)."""
+        self.am.invalidate_segno(segno)
+        for am in self.cpu_ams:
+            am.invalidate_segno(segno)
 
     def get(self, segno: int) -> SDW:
         try:

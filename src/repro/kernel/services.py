@@ -368,7 +368,7 @@ class KernelServices:
                         process.principal, branch
                     )
                 sdw.brackets = branch.brackets
-                process.dseg.am.invalidate_segno(sdw.segno)
+                process.dseg.invalidate_segno(sdw.segno)
                 touched += 1
                 break
         # The setfaults sweep is itself a security event: record what

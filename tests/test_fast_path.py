@@ -217,6 +217,12 @@ class TestCpuEquivalence:
         # jump off the end of the segment
         (ObjectSegment("bad", code=[I(Op.JMP, 99)],
                        definitions={"main": 0}), IllegalInstruction),
+        # DUP of an empty stack
+        (ObjectSegment("bad", code=[I(Op.DUP), I(Op.RET)],
+                       definitions={"main": 0}), IllegalInstruction),
+        # SWAP with one value
+        (ObjectSegment("bad", code=[I(Op.PUSHI, 1), I(Op.SWAP), I(Op.RET)],
+                       definitions={"main": 0}), IllegalInstruction),
     ])
     def test_faults_identical(self, bad_program, exc):
         fast = cpu_run(True, program=bad_program)

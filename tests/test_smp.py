@@ -10,7 +10,7 @@ page-fault traffic against shared page control.
 import pytest
 
 from repro import MulticsSystem
-from repro.errors import BoundsViolation
+from repro.errors import BoundsViolation, IllegalInstruction
 from repro.faults.harness import harness_config
 from repro.hw.cpu import Instruction as I, Op
 from repro.kernel.locks import KernelLock, LockTable
@@ -217,6 +217,27 @@ class TestComplex:
         assert cx.jobs_completed == 4
         assert not cx.busy
 
+    @pytest.mark.parametrize("fast_path", [False, True])
+    @pytest.mark.parametrize("code", [
+        [I(Op.DUP), I(Op.RET)],
+        [I(Op.PUSHI, 1), I(Op.SWAP), I(Op.RET)],
+    ], ids=["dup", "swap"])
+    def test_stack_underflow_is_contained(self, fast_path, code):
+        """DUP or SWAP short of operands is an illegal instruction that
+        fails its own job, not a host error that aborts the run."""
+        system = smp_system(fast_path=fast_path)
+        jobs, _ = make_jobs(system, n_jobs=3)
+        bad = system.login("Alice", "Crypto", "alice-pw")
+        bad_job = bad.program_job(bad.install_object(
+            "underflow", ObjectSegment("u", code=code,
+                                       definitions={"main": 0})))
+        cx = system.cpu_complex(n_cpus=2)
+        cx.run_jobs(jobs[:1] + [bad_job] + jobs[1:])
+        assert isinstance(bad_job.error, IllegalInstruction)
+        assert "operand stack underflow" in str(bad_job.error)
+        assert [j.result for j in jobs] == [96] * 3
+        assert cx.jobs_failed == 1 and cx.jobs_completed == 3
+
     def test_private_am_cams_between_processes(self):
         """Connecting a CPU to a different descriptor segment cams its
         private AM (the AM is processor hardware, not process state)."""
@@ -228,6 +249,24 @@ class TestComplex:
         assert am is not None
         assert am.cams == 2        # job 2 and job 3 each switch dsegs
         assert am.hits > 0
+
+    def test_dseg_changes_reach_a_connected_private_am(self):
+        """A CPU stays connected to the last descriptor segment it ran:
+        an SDW removed from that dseg between rounds is cammed in the
+        CPU's private AM too, and connecting elsewhere unregisters it."""
+        system = smp_system()
+        jobs, sessions = make_jobs(system, n_jobs=2)
+        cx = system.cpu_complex(n_cpus=1)
+        cx.run_jobs(jobs[:1])
+        am = cx.cpus[0].private_am
+        dseg = jobs[0].ctx.dseg
+        assert dseg.cpu_ams == (am,)
+        cached, invalidated = len(am), am.invalidations
+        dseg.remove(sessions[0][1])  # the job's code segment
+        assert len(am) < cached
+        assert am.invalidations - invalidated == cached - len(am)
+        cx.run_jobs(jobs[1:])
+        assert dseg.cpu_ams == () and jobs[1].ctx.dseg.cpu_ams == (am,)
 
     def test_fault_heavy_contention_degrades_gracefully(self):
         """With core sized to thrash, CPUs serialize on the page-table
