@@ -18,14 +18,14 @@ from repro.security.principal import Principal, PrincipalPattern
 @dataclass(frozen=True)
 class AclEntry:
     pattern: PrincipalPattern
-    mode: AccessMode
+    mode: int  #: AccessMode bits
 
     @classmethod
     def make(cls, pattern: str, mode: str) -> "AclEntry":
         return cls(PrincipalPattern.parse(pattern), AccessMode.from_string(mode))
 
     def __str__(self) -> str:
-        return f"{self.mode.to_string():4s} {self.pattern}"
+        return f"{AccessMode.to_string(self.mode):4s} {self.pattern}"
 
 
 class Acl:
@@ -56,7 +56,7 @@ class Acl:
         ]
         return len(self._entries) != before
 
-    def effective_mode(self, principal: Principal) -> AccessMode:
+    def effective_mode(self, principal: Principal) -> int:
         """Mode granted to ``principal``: most specific match wins,
         no match means no access."""
         best: AclEntry | None = None

@@ -30,47 +30,55 @@ from repro.hw.assoc import AssociativeMemory
 from repro.hw.rings import RingBrackets
 
 
-class AccessMode(enum.Flag):
-    """Permission bits recorded in an SDW (and in ACL entries)."""
+class AccessMode:
+    """Permission bits recorded in an SDW (and in ACL entries).
+
+    Plain ``int`` bits, as the 6180 held them in the SDW: every check on
+    the reference path is a machine-word ``&``.  The class is only a
+    namespace; a mode is an ``int`` in ``0..7``.
+    """
 
     NONE = 0
-    R = enum.auto()
-    E = enum.auto()
-    W = enum.auto()
+    R = 1
+    E = 2
+    W = 4
     RW = R | W
     RE = R | E
     REW = R | E | W
 
-    @classmethod
-    def from_string(cls, text: str) -> "AccessMode":
+    @staticmethod
+    def from_string(text: str) -> int:
         """Parse Multics-style mode strings like ``"rw"`` or ``"re"``."""
-        mode = cls.NONE
+        mode = 0
         for ch in text.lower():
-            if ch == "r":
-                mode |= cls.R
-            elif ch == "e":
-                mode |= cls.E
-            elif ch == "w":
-                mode |= cls.W
-            elif ch in ("n", " "):
-                continue
-            else:
+            bit = _MODE_BITS.get(ch)
+            if bit is None:
                 raise ValueError(f"unknown access mode character {ch!r}")
+            mode |= bit
         return mode
 
-    def to_string(self) -> str:
-        out = ""
-        if self & AccessMode.R:
-            out += "r"
-        if self & AccessMode.E:
-            out += "e"
-        if self & AccessMode.W:
-            out += "w"
-        return out or "n"
+    @staticmethod
+    def to_string(mode: int) -> str:
+        """The canonical mode string (``"rew"`` order, ``"n"`` for none)."""
+        if 0 <= mode <= AccessMode.REW:
+            return _MODE_STRINGS[mode]
+        raise ValueError(f"access mode {mode!r} outside 0..7")
 
 
-class Intent(enum.Enum):
-    """What a reference is trying to do."""
+#: Mode character -> bit (``n`` and blank grant nothing).
+_MODE_BITS = {"r": AccessMode.R, "e": AccessMode.E, "w": AccessMode.W,
+              "n": 0, " ": 0}
+#: Mode -> canonical string, indexed by the bits.
+_MODE_STRINGS = ("n", "r", "e", "re", "w", "rw", "ew", "rew")
+
+
+class Intent(enum.StrEnum):
+    """What a reference is trying to do.
+
+    A ``StrEnum`` so that an associative-memory key
+    ``(segno, pageno, ring, intent)`` hashes in C (``str.__hash__``);
+    members are still compared by identity on the reference path.
+    """
 
     READ = "read"
     WRITE = "write"
@@ -114,7 +122,7 @@ class SDW:
     """
 
     segno: int
-    access: AccessMode
+    access: int  #: AccessMode bits
     brackets: RingBrackets
     page_table: list[PTW] = field(default_factory=list)
     bound: int = 0
@@ -196,13 +204,15 @@ def check_access(sdw: SDW, ring: int, intent: Intent) -> None:
         if not (sdw.access & AccessMode.R and sdw.brackets.may_read(ring)):
             raise AccessViolation(
                 f"ring {ring} may not read segment {sdw.segno} "
-                f"(access {sdw.access.to_string()}, brackets {sdw.brackets!r})"
+                f"(access {AccessMode.to_string(sdw.access)}, "
+                f"brackets {sdw.brackets!r})"
             )
     elif intent is Intent.WRITE:
         if not (sdw.access & AccessMode.W and sdw.brackets.may_write(ring)):
             raise AccessViolation(
                 f"ring {ring} may not write segment {sdw.segno} "
-                f"(access {sdw.access.to_string()}, brackets {sdw.brackets!r})"
+                f"(access {AccessMode.to_string(sdw.access)}, "
+                f"brackets {sdw.brackets!r})"
             )
     elif intent is Intent.FETCH:
         if not sdw.access & AccessMode.E:

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from repro.config import SystemConfig
 from repro.fs.acl import Acl
 from repro.fs.directory import Branch, Directory
+from repro.hw.segmentation import AccessMode
 from repro.init.bootstrap import InitStep, standard_steps
 from repro.security.mac import SecurityLabel
 from repro.security.principal import KERNEL_PRINCIPAL
@@ -105,7 +106,10 @@ def _capture(services) -> SystemImage:
         entry = ImageDirEntry(
             path=path,
             label=str(directory.label),
-            acl=[(str(e.pattern), e.mode.to_string()) for e in directory.acl.entries()],
+            acl=[
+                (str(e.pattern), AccessMode.to_string(e.mode))
+                for e in directory.acl.entries()
+            ],
             quota_pages=directory.quota_pages,
         )
         for branch in directory.list_branches():
@@ -118,7 +122,7 @@ def _capture(services) -> SystemImage:
                         "n_pages": services.ufs.record(branch.uid).n_pages,
                         "label": str(branch.label),
                         "acl": [
-                            (str(e.pattern), e.mode.to_string())
+                            (str(e.pattern), AccessMode.to_string(e.mode))
                             for e in branch.acl.entries()
                         ],
                     }

@@ -41,7 +41,7 @@ def _principal(process: "Process"):
 
 
 def _check_dir(services: "KernelServices", process: "Process",
-               directory: Directory, mode: AccessMode) -> None:
+               directory: Directory, mode: int) -> None:
     """Directory operations go through the same reference monitor."""
     services.monitor.check(
         _principal(process), directory, mode, time=services.sim.clock.now,
@@ -225,7 +225,8 @@ def h_acl_list(services, process, dir_segno, name):
     directory = services.directory_by_segno(process, dir_segno)
     _check_dir(services, process, directory, AccessMode.R)
     branch = directory.get(name)
-    return [(str(e.pattern), e.mode.to_string()) for e in branch.acl.entries()]
+    return [(str(e.pattern), AccessMode.to_string(e.mode))
+            for e in branch.acl.entries()]
 
 
 def h_rename(services, process, dir_segno, old, new):

@@ -28,9 +28,13 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.config import NUM_RINGS, SystemConfig
 from repro.errors import AccessViolation, InvalidArgument, KernelDenial
+from repro.fs.directory import split_path, validate_name
 from repro.hw.rings import RingBrackets, call_cost
+from repro.hw.segmentation import AccessMode
 from repro.obs import NULL_METERS, NULL_TRACER
 from repro.security.audit import AuditLog
+from repro.security.mac import SecurityLabel
+from repro.security.principal import PrincipalPattern
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.services import KernelServices
@@ -59,22 +63,16 @@ def _v_str(value: object) -> None:
 
 def _v_name(value: object) -> None:
     _v_str(value)
-    from repro.fs.directory import validate_name
-
     validate_name(value)  # type: ignore[arg-type]
 
 
 def _v_path(value: object) -> None:
     _v_str(value)
-    from repro.fs.directory import split_path
-
     split_path(value)  # type: ignore[arg-type]
 
 
 def _v_mode(value: object) -> None:
     _v_str(value)
-    from repro.hw.segmentation import AccessMode
-
     try:
         AccessMode.from_string(value)  # type: ignore[arg-type]
     except ValueError as exc:
@@ -83,8 +81,6 @@ def _v_mode(value: object) -> None:
 
 def _v_pattern(value: object) -> None:
     _v_str(value)
-    from repro.security.principal import PrincipalPattern
-
     try:
         PrincipalPattern.parse(value)  # type: ignore[arg-type]
     except ValueError as exc:
@@ -92,8 +88,6 @@ def _v_pattern(value: object) -> None:
 
 
 def _v_label(value: object) -> None:
-    from repro.security.mac import SecurityLabel
-
     if not isinstance(value, SecurityLabel):
         raise InvalidArgument(f"expected a SecurityLabel, got {value!r}")
 

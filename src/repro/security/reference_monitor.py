@@ -48,7 +48,7 @@ class ReferenceMonitor:
 
     # -- core decision ------------------------------------------------------
 
-    def permitted_modes(self, principal: Principal, branch: "Branch") -> AccessMode:
+    def permitted_modes(self, principal: Principal, branch: "Branch") -> int:
         """The largest mode ``principal`` may hold on ``branch``."""
         mode = branch.acl.effective_mode(principal)
         if not may_read(principal.clearance, branch.label):
@@ -57,7 +57,7 @@ class ReferenceMonitor:
             mode &= ~AccessMode.W
         return mode
 
-    def sdw_mode(self, principal: Principal, branch: "Branch") -> AccessMode:
+    def sdw_mode(self, principal: Principal, branch: "Branch") -> int:
         """Alias of :meth:`permitted_modes`, named for its use when the
         kernel constructs an SDW."""
         return self.permitted_modes(principal, branch)
@@ -66,7 +66,7 @@ class ReferenceMonitor:
         self,
         principal: Principal,
         branch: "Branch",
-        requested: AccessMode,
+        requested: int,
         time: int = 0,
         ring: int | None = None,
     ) -> None:
@@ -83,18 +83,18 @@ class ReferenceMonitor:
                 time,
                 str(principal),
                 branch.name,
-                requested.to_string(),
+                AccessMode.to_string(requested),
                 "denied",
                 reason,
                 ring=ring,
                 category=category,
             )
             raise AccessDenied(
-                f"{principal} denied {requested.to_string()!r} on "
+                f"{principal} denied {AccessMode.to_string(requested)!r} on "
                 f"{branch.name!r}: {reason}"
             )
         self.audit.log(
-            time, str(principal), branch.name, requested.to_string(),
+            time, str(principal), branch.name, AccessMode.to_string(requested),
             "granted", ring=ring, category="acl",
         )
 
@@ -125,12 +125,12 @@ class ReferenceMonitor:
         )
 
     def _explain(
-        self, principal: Principal, branch: "Branch", requested: AccessMode
+        self, principal: Principal, branch: "Branch", requested: int
     ) -> tuple[str, str]:
         """(human reason, audit category) for a denial."""
         acl_mode = branch.acl.effective_mode(principal)
         if requested & ~acl_mode:
-            return f"acl grants only {acl_mode.to_string()!r}", "acl"
+            return f"acl grants only {AccessMode.to_string(acl_mode)!r}", "acl"
         if requested & (AccessMode.R | AccessMode.E) and not may_read(
             principal.clearance, branch.label
         ):
@@ -149,7 +149,7 @@ class ReferenceMonitor:
 
     # -- convenience predicates ----------------------------------------------
 
-    def may(self, principal: Principal, branch: "Branch", requested: AccessMode) -> bool:
+    def may(self, principal: Principal, branch: "Branch", requested: int) -> bool:
         try:
             self.check(principal, branch, requested)
         except AccessDenied:

@@ -47,6 +47,9 @@ class TestAccessMode:
             ("n", AccessMode.NONE),
             ("", AccessMode.NONE),
         ],
+        # Modes are ints; keep the ids naming the constant.
+        ids=["r-AccessMode.R", "rw-AccessMode.RW", "re-AccessMode.RE",
+             "rew-AccessMode.REW", "n-AccessMode.NONE", "-AccessMode.NONE"],
     )
     def test_from_string(self, text, mode):
         assert AccessMode.from_string(text) == mode
@@ -57,7 +60,7 @@ class TestAccessMode:
 
     def test_roundtrip(self):
         for text in ("r", "re", "rw", "rew", "n"):
-            assert AccessMode.from_string(text).to_string() == text
+            assert AccessMode.to_string(AccessMode.from_string(text)) == text
 
 
 class TestDescriptorSegment:
