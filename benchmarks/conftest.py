@@ -9,8 +9,14 @@ from __future__ import annotations
 
 import json
 import pathlib
+import sys
 
 import pytest
+
+# Bench E18 takes its per-instruction reference leg and the golden
+# fingerprints from tests.interpreter_oracle, so the repository root
+# must be importable however pytest was started.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
 _REPORTS: dict[str, list[str]] = {}
 

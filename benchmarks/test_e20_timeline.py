@@ -88,7 +88,7 @@ WALL_OVERHEAD_CEILING = 1.5
 
 
 def _config(timeline=None):
-    return kernel_config(fast_path=True, timeline=timeline, **FRAMES)
+    return kernel_config(timeline=timeline, **FRAMES)
 
 
 def _timeline_spec(capacity=1024, interval=INTERVAL):

@@ -77,7 +77,7 @@ def audit_complete(system) -> bool:
 def training_run(profile_name: str, n_users: int, kernel=None) -> dict:
     """Drive a single-class seeded population; optionally through a
     pre-installed specialized kernel (the replay leg)."""
-    system = MulticsSystem(kernel_config(fast_path=True, **FRAMES))
+    system = MulticsSystem(kernel_config(**FRAMES))
     specialized = None
     if kernel is not None:
         specialized = kernel(system)

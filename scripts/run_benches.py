@@ -44,6 +44,7 @@ import sys
 import time
 
 _ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(_ROOT))  # E18's reference leg: tests.interpreter_oracle
 sys.path.insert(0, str(_ROOT / "src"))
 sys.path.insert(0, str(_ROOT / "benchmarks"))
 
@@ -261,7 +262,7 @@ def main(argv: list[str]) -> int:
     if e18 is not None:
         scale = "10k" if "users_10k" in e18 else "1k"
         print(f"  workload: {e18.get('users_10k', e18['users_1k'])} users  "
-              f"fast-path wall x{e18['wall_speedup_1k']}  "
+              f"superblock wall x{e18['wall_speedup_1k']}  "
               f"{e18[f'cycles_per_sec_{scale}']:.0f} cycles/s  "
               f"{e18[f'users_per_sec_{scale}']:.1f} users/s  "
               f"equivalent {e18['equivalent']}")

@@ -20,6 +20,8 @@ Quick start::
     session.write_words(segno, [1, 2, 3])
 """
 
+import dataclasses
+
 from repro.config import (
     BufferKind,
     InitKind,
@@ -55,7 +57,9 @@ __all__ = [
 
 def legacy_config(**overrides) -> SystemConfig:
     """The historical 'before' configuration: 645 software rings,
-    sequential page control, circular buffers, in-kernel everything."""
+    sequential page control, circular buffers, in-kernel everything.
+    An override naming no :class:`SystemConfig` field raises
+    ``TypeError``."""
     config = SystemConfig(
         supervisor=SupervisorKind.LEGACY,
         ring_mode=RingMode.SOFTWARE_645,
@@ -65,15 +69,11 @@ def legacy_config(**overrides) -> SystemConfig:
         interrupts=InterruptKind.IN_PROCESS,
         clear_freed_frames=False,
     )
-    for key, value in overrides.items():
-        setattr(config, key, value)
-    return config
+    return dataclasses.replace(config, **overrides)
 
 
 def kernel_config(**overrides) -> SystemConfig:
     """The paper's 'after' configuration: the security kernel on 6180
-    hardware rings with every simplification applied."""
-    config = SystemConfig()
-    for key, value in overrides.items():
-        setattr(config, key, value)
-    return config
+    hardware rings with every simplification applied.  An override
+    naming no :class:`SystemConfig` field raises ``TypeError``."""
+    return SystemConfig(**overrides)

@@ -173,15 +173,6 @@ class SystemConfig:
     #: penetration benches.
     clear_freed_frames: bool = True
 
-    #: Whether the hot cores run their precomputed fast paths: the
-    #: discrete-event engine's delay-0 FIFO bucket (repro.hw.clock) and
-    #: the CPU's inlined interpreter loop with decoded instructions and
-    #: inlined AM probes (repro.hw.cpu).  Architectural results —
-    #: grant/deny traces, cycle charges, the final clock — are
-    #: byte-identical on or off (bench E18's equivalence leg); only
-    #: wall-clock speed changes.  Off is the pre-refactor core.
-    fast_path: bool = True
-
     #: Whether references consult the per-process associative memory
     #: (the 6180 SDW/PTW AM, repro.hw.assoc).  Off re-walks the full
     #: check chain on every reference; architectural results (faults,

@@ -72,10 +72,10 @@ _BY_UID: dict[int, "weakref.WeakSet[AssociativeMemory]"] = {}
 def fetch_key(segno: int, ring: int) -> tuple:
     """The cache key of a fetch-legality entry.
 
-    Public so the CPU's fast interpreter can test membership in the
+    Public so the CPU's interpreter can test membership in the
     entry table directly without reconstructing the private intent
-    sentinel; :meth:`AssociativeMemory.fetch_probe` remains the
-    counting lookup.
+    sentinel.  A fetch check counts as an AM hit or miss; the
+    interpreter does that counting itself (:meth:`repro.hw.cpu.CPU.stepper`).
     """
     return (segno, FETCH_PAGENO, ring, _FETCH)
 
@@ -139,16 +139,6 @@ class AssociativeMemory:
             return None
         self.hits += 1
         return frame, ptw
-
-    def fetch_probe(self, segno: int, ring: int) -> bool:
-        """True if instruction fetch from ``segno`` in ``ring`` was
-        already checked and not since invalidated."""
-        key = fetch_key(segno, ring)
-        if key in self._entries:
-            self.hits += 1
-            return True
-        self.misses += 1
-        return False
 
     # -- insertion -------------------------------------------------------
 

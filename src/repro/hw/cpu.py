@@ -93,13 +93,12 @@ class CodeSegment:
     ``entry_points`` names the public entries (offset -> name) used by
     gates and by the linker's definitions section.
 
-    The fast interpreter (:meth:`CPU.stepper` with ``fast_path``)
-    caches a decoded form of ``instructions`` — plain
-    ``(opcode, a, b, c)`` tuples — and the superblocks compiled from it
-    (a :class:`BlockTable`) on the segment, so a
-    program shared by thousands of processes decodes and compiles
-    once.  Both caches are rebuilt whenever the instruction list is
-    replaced or resized.
+    The interpreter (:meth:`CPU.stepper`) caches a decoded form of
+    ``instructions`` — plain ``(opcode, a, b, c)`` tuples — and the
+    superblocks compiled from it (a :class:`BlockTable`) on the
+    segment, so a program shared by thousands of processes decodes and
+    compiles once.  Both caches are rebuilt whenever the instruction
+    list is replaced or resized.
     """
 
     instructions: list[Instruction]
@@ -114,7 +113,7 @@ class CodeSegment:
         return len(self.instructions)
 
 
-#: Op -> small-int opcode, in declaration order; the fast interpreter
+#: Op -> small-int opcode, in declaration order; the interpreter
 #: dispatches on these instead of enum identity.
 _OPCODE = {op: i for i, op in enumerate(Op)}
 
@@ -150,7 +149,7 @@ _POP = _OPCODE[Op.POP]
 _SWAP = _OPCODE[Op.SWAP]
 
 
-#: "No cycle target": the fast interpreter runs to completion.
+#: "No cycle target": the interpreter runs to completion.
 _NO_TARGET = float("inf")
 
 
@@ -167,18 +166,18 @@ def _decoded_for(code: CodeSegment) -> list[tuple[int, int, int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# superblocks: straight-line runs compiled to Python for the fast loop
+# superblocks: straight-line runs compiled to Python for the interpreter
 # ---------------------------------------------------------------------------
 #
-# The fast interpreter pays for its checks one instruction at a time: a
-# fetch-legality probe, a dispatch on the opcode, a stack push or pop.
-# Between two control transfers nothing can change the outcome of a
-# fetch check — no instruction in a run of pure stack operations calls
-# out of the interpreter, so no ``cam`` can invalidate the cached
+# The per-instruction body pays for its checks one instruction at a
+# time: a fetch-legality probe, a dispatch on the opcode, a stack push
+# or pop.  Between two control transfers nothing can change the outcome
+# of a fetch check — no instruction in a run of pure stack operations
+# calls out of the interpreter, so no ``cam`` can invalidate the cached
 # decision mid-run.  Each such run is compiled once into one Python
-# function; CPU._run_fast checks fetch legality once at the block's
+# function; CPU.stepper checks fetch legality once at the block's
 # entry and charges every instruction the cycles the per-instruction
-# path would have charged.
+# body would have charged.
 #
 # A block covers a run of pure operations (PUSHI, LOADF, STOREF, the
 # ALU, DUP, POP, SWAP, NEG, NOT; DIV and MOD only by a nonzero PUSHI
@@ -590,7 +589,6 @@ class CPU:
         meters=None,
         cpu_id: int = 0,
         private_am: AssociativeMemory | None = None,
-        fast_path: bool = False,
     ) -> None:
         self.core = core
         self.costs = costs
@@ -607,12 +605,6 @@ class CPU:
         self.meters = meters
         #: Which CPU of the complex this is (0 on a uniprocessor).
         self.cpu_id = cpu_id
-        #: Run the superblock interpreter loop (decoded instructions,
-        #: compiled straight-line blocks, batched counters).  Cycle
-        #: charges, counters, and fault behaviour are byte-identical to
-        #: the classic loop — bench E18's equivalence leg and
-        #: tests/test_blocks.py hold the two against each other.
-        self.fast_path = fast_path
         #: A per-CPU associative memory, as on the real 6180 where the
         #: AM is processor hardware, not process state.  When set, it is
         #: used *instead of* the per-process ``ctx.dseg.am`` and cleared
@@ -793,7 +785,7 @@ class CPU:
         max_instructions: int = 1_000_000,
     ):
         """A resumable execution: a generator returning the program's
-        result via StopIteration.
+        result via StopIteration.  This is the interpreter.
 
         This is the SMP complex's hook: it advances each CPU's runner a
         bounded number of cycles per lockstep round, giving a
@@ -803,189 +795,40 @@ class CPU:
 
         Protocol: the first ``next()`` runs entry setup and parks before
         the first instruction.  After that the driver advances it with
-        ``send(target)`` — the classic loop yields before *every*
-        instruction (``send`` ≡ ``next``, the value is ignored), while
-        the fast loop runs instructions until
-        ``cycles + stall_cycles >= target`` and only then yields.
-        ``send(None)`` (what plain ``next()`` does) means "no target":
-        the fast loop runs to completion.  Instruction boundaries are
-        identical either way because both loops test the same condition
-        before each instruction.
-        """
-        if self.fast_path:
-            return self._run_fast(ctx, segno, entry, args, max_instructions)
-        return self._run(ctx, segno, entry, args, max_instructions)
+        ``send(target)``: instructions run while
+        ``cycles + stall_cycles < target``, tested before each one, and
+        the generator yields once the condition fails.  ``send(None)``
+        (what plain ``next()`` does) means "no target": it runs to
+        completion.
 
-    def _run(
-        self,
-        ctx: MachineContext,
-        segno: int,
-        entry: int = 0,
-        args: list[int] | None = None,
-        max_instructions: int = 1_000_000,
-    ):
+        Straight-line runs of each code segment are compiled once to
+        Python functions (:class:`BlockTable`, cached on the
+        :class:`CodeSegment`).  A block runs only if its fetch legality
+        is cached in the AM at entry and the whole block fits the cycle
+        target, the instruction budget, the operand stack and the frame;
+        it is then charged, per instruction, exactly the fetch hit and
+        instruction cost the per-instruction body charges, plus the AM
+        hit and core access of a memory op that ends it.  One fetch
+        check per block is sound because nothing inside a block calls
+        out of the interpreter, so no ``cam`` can occur mid-block.
+        Everything else — calls, returns, fetch misses, AM misses, an
+        AM that is off, whatever a block does not cover — runs one
+        instruction at a time through the body below, so every fault,
+        underflow and quantum boundary lands on the instruction the
+        per-instruction semantics put it on.
+
+        Block charges are *batched*: cycle, hit and instruction deltas
+        accumulate in locals and are folded into the counters before
+        the next per-instruction step, at a yield, and on the way out
+        (the ``finally`` below).  Nothing runs and nothing reads the
+        counters between folds, so every *observable* value — what the
+        SMP round accounting, the mid-fault virtual clock, the meters
+        and the snapshot see — is the eager one.  The per-instruction
+        body updates the counters as it goes.
+        """
         code = ctx.code_segment(segno)
         # Instruction fetch legality for the *initial* transfer: treat it
         # like a call from the current ring.
-        sdw = ctx.dseg.get(segno)
-        new_ring = call_check(sdw.brackets, ctx.ring, entry, sdw.gates)
-        self.cycles += call_cost(self.costs, self.ring_mode, ctx.ring, new_ring)
-        self._count_call(ctx.ring, new_ring)
-
-        stack: list[int] = []
-        frames: list[_Frame] = [
-            _Frame(-1, -1, ctx.ring, list(args or []), 0)
-        ]
-        ctx.ring = new_ring
-        pc = entry
-        executed = 0
-        am = self._am_for(ctx)
-
-        while True:
-            yield
-            if executed >= max_instructions:
-                raise ExecutionLimit(
-                    f"exceeded {max_instructions} instructions"
-                )
-            if not 0 <= pc < len(code.instructions):
-                raise IllegalInstruction(
-                    f"pc {pc} outside code segment {segno}"
-                )
-            # Instruction fetch check: the executing ring must still be
-            # allowed to execute this segment.  The AM caches the
-            # decision per (segno, ring); every invalidation that could
-            # change it (SDW swap, revocation, teardown) clears it.
-            if am is not None and am.fetch_probe(segno, ctx.ring):
-                self.cycles += self.costs.am_hit
-                self.am_hit_cycles += self.costs.am_hit
-            else:
-                sdw = ctx.dseg.get(segno)
-                check_access(sdw, ctx.ring, Intent.FETCH)
-                self.cycles += self.costs.translate_walk
-                self.walk_cycles += self.costs.translate_walk
-                if am is not None:
-                    am.fetch_insert(segno, ctx.ring, sdw.uid)
-
-            inst = code.instructions[pc]
-            pc += 1
-            executed += 1
-            self.instructions_executed += 1
-            self.cycles += self.costs.instruction
-            op = inst.op
-
-            if op is Op.PUSHI:
-                stack.append(inst.a)
-            elif op is Op.LOAD:
-                stack.append(self._read(ctx, inst.a, inst.b))
-            elif op is Op.STORE:
-                self._write(ctx, inst.a, inst.b, self._pop(stack))
-            elif op is Op.LOADI:
-                offset = self._pop(stack)
-                stack.append(self._read(ctx, inst.a, offset))
-            elif op is Op.STOREI:
-                offset = self._pop(stack)
-                value = self._pop(stack)
-                self._write(ctx, inst.a, offset, value)
-            elif op is Op.LOADF:
-                frame = frames[-1]
-                self._check_slot(frame, inst.a)
-                stack.append(frame.slots[inst.a])
-            elif op is Op.STOREF:
-                frame = frames[-1]
-                self._check_slot(frame, inst.a, grow=True)
-                frame.slots[inst.a] = self._pop(stack)
-            elif op in _BINOPS:
-                rhs = self._pop(stack)
-                lhs = self._pop(stack)
-                stack.append(_BINOPS[op](lhs, rhs))
-            elif op is Op.NEG:
-                stack.append(-self._pop(stack))
-            elif op is Op.NOT:
-                stack.append(0 if self._pop(stack) else 1)
-            elif op is Op.DUP:
-                if not stack:
-                    raise IllegalInstruction("operand stack underflow")
-                stack.append(stack[-1])
-            elif op is Op.POP:
-                self._pop(stack)
-            elif op is Op.SWAP:
-                if len(stack) < 2:
-                    raise IllegalInstruction("operand stack underflow")
-                stack[-1], stack[-2] = stack[-2], stack[-1]
-            elif op is Op.JMP:
-                pc = inst.a
-            elif op is Op.JZ:
-                if self._pop(stack) == 0:
-                    pc = inst.a
-            elif op is Op.JNZ:
-                if self._pop(stack) != 0:
-                    pc = inst.a
-            elif op is Op.CALL:
-                segno, code, pc = self._do_call(
-                    ctx, frames, stack, segno, pc,
-                    inst.a, inst.b, inst.c,
-                )
-            elif op is Op.CALLL:
-                target = self._resolve_link(ctx, inst.a)
-                segno, code, pc = self._do_call(
-                    ctx, frames, stack, segno, pc,
-                    target[0], target[1], inst.b,
-                )
-            elif op is Op.RET:
-                result = stack.pop() if stack else 0
-                frame = frames.pop()
-                ctx.ring = frame.return_ring
-                if not frames:
-                    return result
-                stack.append(result)
-                segno = frame.return_segno
-                code = ctx.code_segment(segno)
-                pc = frame.return_pc
-            elif op is Op.HALT:
-                return stack[-1] if stack else 0
-            else:  # pragma: no cover - enum is closed
-                raise IllegalInstruction(f"cannot execute {op!r}")
-
-    def _run_fast(
-        self,
-        ctx: MachineContext,
-        segno: int,
-        entry: int = 0,
-        args: list[int] | None = None,
-        max_instructions: int = 1_000_000,
-    ):
-        """The superblock interpreter loop (see :meth:`stepper` for the
-        driving protocol).
-
-        Architecturally identical to :meth:`_run`: same checks in the
-        same order, same cycle charges, same counters, same faults.
-        What changes is the Python.  Straight-line runs of each code
-        segment are compiled once to Python functions
-        (:class:`BlockTable`, cached on the :class:`CodeSegment`).
-        A block runs only if its fetch legality is cached in the AM at
-        entry and the whole block fits the cycle target, the
-        instruction budget, the operand stack and the frame; it is then
-        charged, per instruction, exactly the fetch hit and instruction
-        cost the per-instruction path charges, plus the AM hit and core
-        access of a memory op that ends it.  One fetch check per block
-        is sound because nothing inside a block calls out of the
-        interpreter, so no ``cam`` can occur mid-block.  Otherwise —
-        and for calls, returns, fetch misses, AM misses and anything
-        else a block does not cover — the per-instruction body below
-        runs, so every fault, underflow and quantum boundary lands on
-        the same instruction as in the classic loop.
-
-        Counter updates are *batched*: cycle, hit and instruction
-        deltas accumulate in locals and fold into the instance counters
-        only at a boundary — a quantum yield, any classic-path excursion
-        (translate, fetch miss, call, linkage), a return, or an
-        exception (the ``finally`` below).  No event runs and nothing
-        reads the counters between boundaries, so every *observable*
-        value — what the SMP round accounting, the mid-fault virtual
-        clock, the meters, and the snapshot see — is identical to the
-        eager classic loop.
-        """
-        code = ctx.code_segment(segno)
         sdw = ctx.dseg.get(segno)
         new_ring = call_check(sdw.brackets, ctx.ring, entry, sdw.gates)
         self.cycles += call_cost(self.costs, self.ring_mode, ctx.ring, new_ring)
@@ -1003,19 +846,14 @@ class CPU:
 
         # Hoisted loop invariants.
         costs = self.costs
-        inst_cost = costs.instruction
         hit_cost = costs.am_hit
         walk_cost = costs.translate_walk
-        core_cost = costs.core_access
-        hit_core = hit_cost + core_cost
-        ih = inst_cost + hit_cost   # one instruction after a fetch hit
+        ih = costs.instruction + hit_cost  # one instruction after a hit
+        hit_core = hit_cost + costs.core_access
         page_size = self.page_size
         core_read = self.core.read
         core_write = self.core.write
-        translate_slow = self._translate
-        fold = self._fold
         pop = self._pop
-        dseg = ctx.dseg
         entries = am._entries if am is not None else None
         ring = ctx.ring
         table = block_table(code)
@@ -1024,17 +862,11 @@ class CPU:
         fkey = fetch_key(segno, ring)
 
         target = yield
-        # Pending counter deltas (see docstring): folded into the
-        # instance counters at every boundary, never observable stale.
-        cyc = 0      # -> self.cycles
-        hits = 0     # -> am.hits (and hits * am_hit -> am_hit_cycles)
-        wlkc = 0     # -> self.walk_cycles (AM-off fetch walks)
-        ninst = 0    # -> self.instructions_executed
+        cyc = hits = ninst = 0   # block charges not yet folded
         try:
             while True:
                 limit = target if target is not None else _NO_TARGET
-                # Cycles left before the target, as of the last fold:
-                # "cycles + stall_cycles < target" is "cyc < room".
+                # "cycles + stall_cycles + cyc < limit" is "cyc < room".
                 room = limit - self.cycles - self.stall_cycles
                 while cyc < room:
                     if executed >= max_instructions:
@@ -1045,116 +877,93 @@ class CPU:
                         raise IllegalInstruction(
                             f"pc {pc} outside code segment {segno}"
                         )
-                    # Instruction fetch check (same order and counters
-                    # as AssociativeMemory.fetch_probe + the classic
-                    # walk).
-                    if entries is not None:
-                        if fkey in entries:
-                            blk = blocks[pc]
-                            if blk is None:
-                                blk = table.build(pc)
-                            if blk:
-                                fn, n, need, max_slot, mem_pc = blk
-                                if (cyc + (n - 1) * ih < room
-                                        and executed + n <= max_instructions
-                                        and len(stack) >= need
-                                        and len(slots) > max_slot):
-                                    try:
-                                        npc = fn(stack, slots, entries, ring,
-                                                 page_size, core_read,
-                                                 core_write)
-                                    except BaseException:
-                                        # Only the final core access
-                                        # raises past a block: all of it
-                                        # has taken effect.
-                                        cyc += n * ih + hit_core
-                                        hits += n + 1
-                                        ninst += n
-                                        executed += n
-                                        raise
-                                    if npc is not None:
-                                        if npc != mem_pc:
-                                            cyc += n * ih
-                                            hits += n
-                                            if mem_pc is not None:
-                                                cyc += hit_core
-                                                hits += 1
-                                            ninst += n
-                                            executed += n
-                                            pc = npc
-                                            continue
+                    # Instruction fetch check: the executing ring must
+                    # still be allowed to execute this segment.  The AM
+                    # caches the decision per (segno, ring); every
+                    # invalidation that could change it (SDW swap,
+                    # revocation, teardown) clears it.
+                    fetch_hit = entries is not None and fkey in entries
+                    if fetch_hit:
+                        blk = blocks[pc]
+                        if blk is None:
+                            blk = table.build(pc)
+                        if blk:
+                            fn, n, need, max_slot, mem_pc = blk
+                            if (cyc + (n - 1) * ih < room
+                                    and executed + n <= max_instructions
+                                    and len(stack) >= need
+                                    and len(slots) > max_slot):
+                                try:
+                                    npc = fn(stack, slots, entries, ring,
+                                             page_size, core_read, core_write)
+                                except BaseException:
+                                    # Only the final core access raises
+                                    # past a block: all of it has taken
+                                    # effect.
+                                    cyc += n * ih + hit_core
+                                    hits += n + 1
+                                    ninst += n
+                                    executed += n
+                                    raise
+                                if npc is not None:
+                                    if npc == mem_pc:
                                         # AM miss: the pure prefix ran;
                                         # the memory op runs below.
                                         n -= 1
-                                        cyc += n * ih
-                                        hits += n
-                                        ninst += n
-                                        executed += n
-                                        pc = npc
-                            hits += 1
-                            cyc += hit_cost
-                        else:
-                            # Boundary: run the miss at live counters.
-                            fold(cyc, wlkc, ninst, hits, am)
-                            cyc = hits = wlkc = ninst = 0
+                                    elif mem_pc is not None:
+                                        cyc += hit_core
+                                        hits += 1
+                                    cyc += n * ih
+                                    hits += n
+                                    ninst += n
+                                    executed += n
+                                    pc = npc
+                                    if npc != mem_pc:
+                                        continue
+                        hits += 1
+                        cyc += hit_cost
+
+                    # One instruction, at live counters (every block
+                    # charge counts hits, so none is pending if none).
+                    if hits:
+                        self._fold(cyc, ninst, hits, am)
+                        cyc = hits = ninst = 0
+                    if not fetch_hit:
+                        if am is not None:
                             am.misses += 1
-                            sdw = dseg.get(segno)
-                            check_access(sdw, ring, Intent.FETCH)
-                            self.cycles += walk_cost
-                            self.walk_cycles += walk_cost
-                            am.fetch_insert(segno, ring, sdw.uid)
-                            room = limit - self.cycles - self.stall_cycles
-                    else:
-                        sdw = dseg.get(segno)
+                        sdw = ctx.dseg.get(segno)
                         check_access(sdw, ring, Intent.FETCH)
-                        cyc += walk_cost
-                        wlkc += walk_cost
+                        self.cycles += walk_cost
+                        self.walk_cycles += walk_cost
+                        if am is not None:
+                            am.fetch_insert(segno, ring, sdw.uid)
 
                     op, a, b, c = decoded[pc]
                     pc += 1
                     executed += 1
-                    ninst += 1
-                    cyc += inst_cost
+                    self.instructions_executed += 1
+                    self.cycles += costs.instruction
 
                     if op == _PUSHI:
                         stack.append(a)
-                    elif _LOAD <= op <= _STOREI:
-                        # A memory op no block completed: the checked
-                        # translation at live counters (a fault inside
-                        # the walk reads them for its virtual time).
-                        write = op == _STORE or op == _STOREI
-                        off = b if op == _LOAD or op == _STORE else pop(stack)
-                        if write:
-                            value = pop(stack)
-                        fold(cyc, wlkc, ninst, hits, am)
-                        cyc = hits = wlkc = ninst = 0
-                        intent = Intent.WRITE if write else Intent.READ
-                        fr, word = translate_slow(ctx, a, off, intent)
-                        self.cycles += core_cost
-                        room = limit - self.cycles - self.stall_cycles
-                        if write:
-                            core_write(fr, word, value)
-                        else:
-                            stack.append(core_read(fr, word))
+                    elif op == _LOAD:
+                        stack.append(self._read(ctx, a, b))
+                    elif op == _STORE:
+                        self._write(ctx, a, b, pop(stack))
+                    elif op == _LOADI:
+                        stack.append(self._read(ctx, a, pop(stack)))
+                    elif op == _STOREI:
+                        offset = pop(stack)
+                        self._write(ctx, a, offset, pop(stack))
                     elif op == _LOADF:
-                        if 0 <= a < len(slots):
-                            stack.append(slots[a])
-                        else:
-                            self._check_slot(frames[-1], a)
+                        self._check_slot(frames[-1], a)
+                        stack.append(slots[a])
                     elif op == _STOREF:
                         self._check_slot(frames[-1], a, grow=True)
                         slots[a] = pop(stack)
-                    elif op in _INT_BINOPS:
+                    elif op in _BINOPS:
                         rhs = pop(stack)
-                        stack.append(_INT_BINOPS[op](pop(stack), rhs))
-                    elif op == _JMP:
-                        pc = a
-                    elif op == _JZ:
-                        if pop(stack) == 0:
-                            pc = a
-                    elif op == _JNZ:
-                        if pop(stack) != 0:
-                            pc = a
+                        stack.append(_BINOPS[op](pop(stack), rhs))
                     elif op == _NEG:
                         stack.append(-pop(stack))
                     elif op == _NOT:
@@ -1169,13 +978,17 @@ class CPU:
                         if len(stack) < 2:
                             raise IllegalInstruction("operand stack underflow")
                         stack[-1], stack[-2] = stack[-2], stack[-1]
+                    elif op == _JMP:
+                        pc = a
+                    elif op == _JZ:
+                        if pop(stack) == 0:
+                            pc = a
+                    elif op == _JNZ:
+                        if pop(stack) != 0:
+                            pc = a
                     elif op == _HALT:
                         return stack[-1] if stack else 0
                     else:
-                        # Control transfers.  Boundary: call_cost reads
-                        # the live counters.
-                        fold(cyc, wlkc, ninst, hits, am)
-                        cyc = hits = wlkc = ninst = 0
                         if op == _RET:
                             result = stack.pop() if stack else 0
                             frame = frames.pop()
@@ -1192,29 +1005,27 @@ class CPU:
                             segno, code, pc = self._do_call(
                                 ctx, frames, stack, segno, pc, a, b, c,
                             )
-                        room = limit - self.cycles - self.stall_cycles
                         ring = ctx.ring
                         slots = frames[-1].slots
                         table = block_table(code)
                         decoded, blocks = table.decoded, table.blocks
                         n_inst = len(decoded)
                         fkey = fetch_key(segno, ring)
-                # Quantum boundary: fold the pending deltas so the SMP
+                    room = limit - self.cycles - self.stall_cycles
+                # Quantum boundary: fold the pending charges so the SMP
                 # round accounting sees exact values while suspended.
-                fold(cyc, wlkc, ninst, hits, am)
-                cyc = hits = wlkc = ninst = 0
+                self._fold(cyc, ninst, hits, am)
+                cyc = hits = ninst = 0
                 target = yield
         finally:
-            # Returns and contained faults exit through here: fold
-            # whatever is pending so job accounting stays exact.
-            fold(cyc, wlkc, ninst, hits, am)
+            # Returns and contained faults exit through here.
+            self._fold(cyc, ninst, hits, am)
 
-    def _fold(self, cyc: int, wlkc: int, ninst: int, hits: int,
+    def _fold(self, cyc: int, ninst: int, hits: int,
               am: AssociativeMemory | None) -> None:
-        """Fold the fast loop's pending counter deltas into the CPU's
-        (and its AM's) counters."""
+        """Fold batched block charges into the CPU's (and its AM's)
+        counters."""
         self.cycles += cyc
-        self.walk_cycles += wlkc
         self.instructions_executed += ninst
         if hits:
             am.hits += hits
@@ -1294,22 +1105,18 @@ class CPU:
 
 
 _BINOPS = {
-    Op.ADD: lambda a, b: a + b,
-    Op.SUB: lambda a, b: a - b,
-    Op.MUL: lambda a, b: a * b,
-    Op.DIV: lambda a, b: _div(a, b),
-    Op.MOD: lambda a, b: _mod(a, b),
-    Op.EQ: lambda a, b: int(a == b),
-    Op.NE: lambda a, b: int(a != b),
-    Op.LT: lambda a, b: int(a < b),
-    Op.LE: lambda a, b: int(a <= b),
-    Op.GT: lambda a, b: int(a > b),
-    Op.GE: lambda a, b: int(a >= b),
+    _ADD: lambda a, b: a + b,
+    _SUB: lambda a, b: a - b,
+    _MUL: lambda a, b: a * b,
+    _DIV: lambda a, b: _div(a, b),
+    _MOD: lambda a, b: _mod(a, b),
+    _EQ: lambda a, b: int(a == b),
+    _NE: lambda a, b: int(a != b),
+    _LT: lambda a, b: int(a < b),
+    _LE: lambda a, b: int(a <= b),
+    _GT: lambda a, b: int(a > b),
+    _GE: lambda a, b: int(a >= b),
 }
-
-
-#: The same operations by small-int opcode, for the fast loop.
-_INT_BINOPS = {_OPCODE[op]: fn for op, fn in _BINOPS.items()}
 
 
 def _div(a: int, b: int) -> int:

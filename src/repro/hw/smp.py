@@ -173,7 +173,6 @@ class SmpComplex:
                 meters=meters,
                 cpu_id=i,
                 private_am=private_am,
-                fast_path=config.fast_path,
             ))
         self._queue: deque[CpuJob] = deque()
         self._running: list[_Slot | None] = [None] * self.n_cpus
@@ -440,11 +439,9 @@ class SmpComplex:
             target = start + quantum
             try:
                 # Drive the stepper protocol: the priming next() runs
-                # entry setup under the same budget condition the old
-                # per-instruction loop applied, then each send(target)
-                # advances to the cycle target — one resume per
-                # instruction for the classic interpreter, one per
-                # round for the fast one.
+                # entry setup under the slice's budget condition, then
+                # one send(target) runs the job to the cycle target
+                # (or to its end).
                 gen = slot.gen
                 while cpu.cycles + cpu.stall_cycles < target:
                     if not slot.primed:

@@ -210,11 +210,15 @@ class _SandboxContext:
 
 
 def execute_object(obj: ObjectSegment, module: str, entry: str,
-                   args: list[int]) -> int:
-    """Run object code on the simulated CPU, isolated from any system."""
+                   args: list[int],
+                   context: _SandboxContext | None = None) -> int:
+    """Run object code on the simulated CPU, isolated from any system.
+    Reusing the ``context`` of a run of the same ``obj`` reuses the
+    blocks compiled for its code segment."""
     if entry not in obj.definitions:
         raise CertificationError(f"object exports no {entry!r}")
-    context = _SandboxContext(obj, module)
+    if context is None:
+        context = _SandboxContext(obj, module)
     cpu = CPU(
         core=MemoryLevel("sandbox", 1, 1, page_size=16),
         costs=CostModel(),
@@ -295,6 +299,8 @@ def certify_module(
         obj = compile_source(source, module)
     check_structure(obj, module)
     report = CertificationReport(module=module, structural_ok=True)
+    # One sandbox for every vector: each block compiles once per module.
+    context = _SandboxContext(obj, module)
     for proc_name, arg_lists in vectors.items():
         if proc_name not in program.procedures:
             raise CertificationError(f"source has no procedure {proc_name!r}")
@@ -302,7 +308,8 @@ def certify_module(
             raise CertificationError(f"object exports no {proc_name!r}")
         for args in arg_lists:
             expected = SourceInterpreter(program).run(proc_name, list(args))
-            actual = execute_object(obj, module, proc_name, list(args))
+            actual = execute_object(obj, module, proc_name, list(args),
+                                    context)
             if expected != actual:
                 raise CertificationError(
                     f"{module}${proc_name}{tuple(args)}: source model says "

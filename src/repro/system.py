@@ -538,7 +538,6 @@ class Session:
             metrics=services.metrics,
             tracer=services.tracer,
             meters=services.meters,
-            fast_path=self.system.config.fast_path,
         )
 
     def install_object(self, path: str, obj, n_pages: int | None = None) -> int:

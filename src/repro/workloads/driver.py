@@ -20,7 +20,8 @@ The driver realizes a seeded population against one booted system:
 
 Everything is driven off the simulated clock and seeded generators, so
 a run is a pure function of (config, population) — bench E18 leans on
-that to compare the fast-path core against the classic one byte for
+that to compare the interpreter's superblocks against its
+per-instruction body, and against a recorded fingerprint, byte for
 byte.
 """
 
@@ -272,7 +273,7 @@ class WorkloadDriver:
             author.set_acl(path, "*.*", "re")
             author.load_program(segno)
             self._objects[name] = obj
-            # One parsed (and, on the fast path, decoded) image for the
+            # One parsed, decoded and block-compiled image for the
             # whole population.
             self._library[name] = author.process.code_segments[segno]
 

@@ -222,7 +222,7 @@ class TestRepresentation:
         assert am.probe(3, FETCH_PAGENO, 4, Intent.FETCH, 0) is None
         am = AssociativeMemory()
         am.insert(3, FETCH_PAGENO, 4, Intent.FETCH, 5, ptw, 16, uid=None)
-        assert not am.fetch_probe(3, 4)
+        assert fetch_key(3, 4) not in am._entries
         assert am.probe(3, FETCH_PAGENO, 4, Intent.FETCH, 0) == (5, ptw)
 
 
@@ -242,7 +242,7 @@ def _gate_and_cpu_run():
     object segment look up ``Op``-keyed tables once per program, which
     is not the reference path.
     """
-    system = MulticsSystem(harness_config(fast_path=True)).boot()
+    system = MulticsSystem(harness_config()).boot()
     system.register_user("Alice", "Crypto", "pw")
     system.register_user("Bob", "Crypto", "pw")
     alice = system.login("Alice", "Crypto", "pw")

@@ -13,7 +13,7 @@ import pytest
 
 from repro import MulticsSystem, kernel_config
 from repro.errors import AccessViolation, BoundsViolation, MissingPageFault
-from repro.hw.assoc import AssociativeMemory, cam_uid
+from repro.hw.assoc import AssociativeMemory, cam_uid, fetch_key
 from repro.hw.rings import user_brackets
 from repro.hw.segmentation import (
     PTW,
@@ -128,10 +128,10 @@ class TestAssociativeMemoryUnit:
         assert am.invalidate_uid(77, pageno=0) == 1
         assert am.probe(5, 0, 4, Intent.READ, 0) is None
         assert am.probe(5, 1, 4, Intent.READ, PAGE) is not None
-        assert am.fetch_probe(5, 4)  # fetch legality ignores residence
+        assert fetch_key(5, 4) in am._entries  # fetch legality ignores residence
         # Full-uid invalidation (revocation) takes the fetch entry too.
         assert am.invalidate_uid(77) == 2
-        assert not am.fetch_probe(5, 4)
+        assert fetch_key(5, 4) not in am._entries
 
     def test_cam_clears_everything(self):
         dseg = make_dseg()

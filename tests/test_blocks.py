@@ -1,26 +1,32 @@
-"""The superblock interpreter (repro.hw.cpu.BlockTable) against the classic
-core.
+"""The superblocks (repro.hw.cpu.BlockTable) against the same interpreter
+run one instruction at a time (tests.interpreter_oracle.per_instruction).
 
 * **Differential fuzzing** (hypothesis, derandomized): small programs
   over all 30 opcodes — jumps into the middle of blocks, DIV/MOD by a
   constant or computed zero, frame-slot growth, in-bounds, negative and
   out-of-bounds indirect references, calls and linkage calls — run
-  through the classic and the fast core, on a single CPU and in a 1- or
-  2-CPU SMP complex with a random quantum.  Results, errors, cycles,
+  with and without blocks, on a single CPU and in a 1- or 2-CPU SMP
+  complex with a random quantum.  Results, errors, cycles,
   instruction counts, translation-cost splits, AM counters and the
   per-round instruction counts must all be identical.
+* **A frozen sample**: fuzz cases and hand-written edge cases whose
+  fingerprints were recorded from the classic per-instruction
+  interpreter (``tests/golden/blocks_fuzz.json``); both legs must
+  still produce them.
 * **Revocation between quanta**: revoking execute access to a running
   code segment between two lockstep rounds must fault the job on its
-  next fetch, on both cores, even though the CPU's private AM had the
+  next fetch, with and without blocks, even though the CPU's private AM had the
   fetch decision cached.
 * **Long chains**: an expression hundreds of ops deep compiles to one
   block with bounded nesting, and a block CPython refuses to compile
-  runs per instruction; either way the result matches the classic core.
+  runs per instruction; either way the result matches the reference.
 * **Generated-source hygiene**: only ``int`` operands ever reach
   compiled source.
 """
 
 import dis
+import hashlib
+import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -34,6 +40,8 @@ from repro.hw.cpu import (
 from repro.hw.segmentation import Intent
 from repro.user.object_format import ObjectSegment
 from repro.workloads.profiles import PROFILES, build_program
+
+from tests.interpreter_oracle import GOLDEN_PATH, per_instruction
 
 #: Placeholder operands, bound when a program is installed.
 DATA, SELF = "data", "self"
@@ -117,12 +125,19 @@ def session_with(system, program, tag: str):
     return session, segno
 
 
-def differential_run(fast: bool, program, args, n_cpus: int,
+def differential_run(blocks: bool, program, args, n_cpus: int,
                      quantum: int,
-                     max_instructions: int = MAX_INSTRUCTIONS) -> dict:
+                     max_instructions: int = MAX_INSTRUCTIONS,
+                     **config) -> dict:
+    """The run's fingerprint; ``blocks=False`` is the reference leg.
+    ``config`` overrides the system configuration (``am_enabled``)."""
+    if not blocks:
+        with per_instruction():
+            return differential_run(True, program, args, n_cpus, quantum,
+                                    max_instructions, **config)
     system = MulticsSystem(harness_config(
         core_frames=6, bulk_frames=64, disk_frames=512, page_size=16,
-        fast_path=fast,
+        **config,
     )).boot()
     system.register_user("Alice", "Crypto", "pw")
 
@@ -155,8 +170,10 @@ def differential_run(fast: bool, program, args, n_cpus: int,
         "jobs": [(j.result, repr(j.error), j.cycles, j.instructions,
                   j.stall_cycles, j.cpu_id) for j in jobs],
         "cpus": [(u.cycles, u.instructions_executed, u.am_hit_cycles,
-                  u.walk_cycles, u.private_am.hits, u.private_am.misses,
-                  u.private_am.invalidations, u.private_am.cams)
+                  u.walk_cycles) + (
+                      (u.private_am.hits, u.private_am.misses,
+                       u.private_am.invalidations, u.private_am.cams)
+                      if u.private_am is not None else ())
                  for u in cx.cpus],
         "rounds": rounds,
         "escaped": escaped if "Error" in escaped else None,
@@ -173,9 +190,9 @@ class TestDifferential:
            quantum=st.integers(1, 60))
     def test_fast_core_matches_classic(self, program, args, n_cpus,
                                        quantum):
-        fast = differential_run(True, program, args, n_cpus, quantum)
-        classic = differential_run(False, program, args, n_cpus, quantum)
-        assert fast == classic
+        blocks = differential_run(True, program, args, n_cpus, quantum)
+        reference = differential_run(False, program, args, n_cpus, quantum)
+        assert blocks == reference
 
     def test_workload_programs_run_in_blocks(self):
         """Every profile's loop body compiles; the only instructions
@@ -189,6 +206,57 @@ class TestDifferential:
                     covered.update(range(pc, pc + table.blocks[pc][1]))
             assert set(range(len(code))) - covered == {len(code) - 1}
             assert block_table(code) is table  # cached on the segment
+
+
+# ---------------------------------------------------------------------------
+# the frozen fuzz sample
+# ---------------------------------------------------------------------------
+
+#: Fuzz cases, each with the sha256 of its :func:`differential_run`
+#: fingerprint as recorded from the classic per-instruction interpreter
+#: (commit 7aac9f3), before the block-compiling loop became the only
+#: one.  Calls, returns, HALT, fetch misses, memory operations after an
+#: AM miss and every run with the AM off take the per-instruction body
+#: on both legs of the fuzz; this sample is their reference.  Named
+#: cases are hand-written edge cases (HALT or RET on an empty stack, a
+#: CALL short of arguments, ...), each on 1 and 2 CPUs with the AM on
+#: and off; the rest are the distinct-outcome draws among 800 seeded
+#: draws of the fuzz's own strategies, the AM on or off.
+FUZZ_GOLDEN = GOLDEN_PATH.parent / "blocks_fuzz.json"
+
+
+def _canonical(x):
+    """``x`` as JSON-ready data with every int in hex (an int past the
+    decimal digit limit has no ``repr``)."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return hex(x)
+    if isinstance(x, (list, tuple)):
+        return [_canonical(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _canonical(v) for k, v in x.items()}
+    return x
+
+
+def fuzz_digest(fingerprint: dict) -> str:
+    text = json.dumps(_canonical(fingerprint), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def golden_fuzz_run(blocks: bool, case: dict) -> str:
+    program = [(Op[op], a, b, c) for op, a, b, c in case["program"]]
+    return fuzz_digest(differential_run(
+        blocks, program, case["args"], case["n_cpus"], case["quantum"],
+        am_enabled=case["am_enabled"],
+    ))
+
+
+@pytest.mark.parametrize("blocks", [True, False],
+                         ids=["blocks", "per_instruction"])
+def test_golden_fuzz_sample(blocks):
+    cases = json.loads(FUZZ_GOLDEN.read_text())["cases"]
+    wrong = [case.get("name", i) for i, case in enumerate(cases)
+             if golden_fuzz_run(blocks, case) != case["sha256"]]
+    assert wrong == []
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +275,9 @@ CHAINS = {
 
 def _chain_outcomes(program):
     program = program + [(Op.RET, 0, 0, 0)]
-    runs = [differential_run(fast, program, [3], 2, 10 ** 6,
+    runs = [differential_run(blocks, program, [3], 2, 10 ** 6,
                              max_instructions=10 * CHAIN)
-            for fast in (True, False)]
+            for blocks in (True, False)]
     assert runs[0] == runs[1]
     return runs[0]
 
@@ -217,7 +285,7 @@ def _chain_outcomes(program):
 @pytest.mark.parametrize("name", sorted(CHAINS))
 def test_long_chain_is_one_block_and_matches_classic(name):
     """An expression hundreds of ops deep compiles to one block (its
-    nesting bounded by temps) and runs as on the classic core, on one
+    nesting bounded by temps) and runs as the reference does, on one
     CPU and in a 2-CPU complex."""
     program = CHAINS[name]
     block = BlockTable(_decoded_for(bind(program, 0, 0))).build(0)
@@ -232,8 +300,8 @@ def test_long_chain_is_one_block_and_matches_classic(name):
 def test_a_block_the_host_cannot_compile_runs_per_instruction(
         monkeypatch):
     """Unbounded nesting overflows CPython's parser; such a block is not
-    built and its instructions run one at a time, still as on the
-    classic core."""
+    built and its instructions run one at a time, still as the
+    reference does."""
     import repro.hw.cpu as cpu_module
     monkeypatch.setattr(cpu_module, "_MAX_DEPTH", 10 ** 6)
     program = CHAINS["add"]
@@ -255,9 +323,9 @@ COUNTER = ObjectSegment("counter", code=[
 ], definitions={"main": 0})
 
 
-def revocation_run(fast: bool, revoke_after: int):
+def revocation_run(revoke_after: int):
     system = MulticsSystem(harness_config(
-        core_frames=256, bulk_frames=512, disk_frames=2048, fast_path=fast,
+        core_frames=256, bulk_frames=512, disk_frames=2048,
     )).boot()
     system.register_user("Alice", "Crypto", "pw")
     victim = system.login("Alice", "Crypto", "pw")
@@ -274,26 +342,27 @@ def revocation_run(fast: bool, revoke_after: int):
             victim.set_acl("counter", "Alice.Crypto", "r")
 
     cx.run_jobs(jobs, quantum=200, on_round=on_round)
-    return jobs, rounds
+    return system, cx, jobs, rounds
 
 
 @pytest.mark.parametrize("revoke_after", [1, 3])
 def test_revocation_between_quanta_faults_the_next_block(revoke_after):
-    fast_jobs, fast_rounds = revocation_run(True, revoke_after)
-    classic_jobs, classic_rounds = revocation_run(False, revoke_after)
-    assert fast_rounds == classic_rounds
-    for jobs in (fast_jobs, classic_jobs):
+    _, _, block_jobs, block_rounds = revocation_run(revoke_after)
+    with per_instruction():
+        _, _, reference_jobs, reference_rounds = revocation_run(revoke_after)
+    assert block_rounds == reference_rounds
+    for jobs in (block_jobs, reference_jobs):
         victim, other = jobs
         assert isinstance(victim.error, AccessViolation)
         assert "not executable" in str(victim.error)
         assert other.result == 400
-    assert [(j.cycles, j.instructions) for j in fast_jobs] == \
-        [(j.cycles, j.instructions) for j in classic_jobs]
+    assert [(j.cycles, j.instructions) for j in block_jobs] == \
+        [(j.cycles, j.instructions) for j in reference_jobs]
     # The victim's CPU executed nothing after the revocation: its next
     # fetch missed the (cammed) private AM and walked to the new SDW.
-    cpu = fast_jobs[0].cpu_id
-    at_revocation = fast_rounds[revoke_after - 1][cpu]
-    after = fast_rounds[revoke_after][cpu]
+    cpu = block_jobs[0].cpu_id
+    at_revocation = block_rounds[revoke_after - 1][cpu]
+    after = block_rounds[revoke_after][cpu]
     assert after[0] == at_revocation[0]
     assert after[1] == at_revocation[1] + 1
 
@@ -337,13 +406,14 @@ def test_only_int_words_reach_generated_source():
 
 
 def test_non_int_operands_run_identically_on_both_cores():
+    """With and without blocks."""
     program = [(Op.PUSHI, 5, 0, 0), (Op.PUSHI, HOSTILE, 0, 0),
                (Op.STOREF, 0, 0, 0), (Op.PUSHI, 1, 0, 0), (Op.ADD, 0, 0, 0),
                (Op.LOADF, 0, 0, 0), (Op.RET, 0, 0, 0)]
-    fast = differential_run(True, program, [], 2, 7)
-    classic = differential_run(False, program, [], 2, 7)
-    assert fast == classic
-    assert fast["single"][0] == repr(HOSTILE)  # returned, never evaluated
+    blocks = differential_run(True, program, [], 2, 7)
+    reference = differential_run(False, program, [], 2, 7)
+    assert blocks == reference
+    assert blocks["single"][0] == repr(HOSTILE)  # returned, never evaluated
 
 
 @pytest.mark.parametrize("first,error", [
@@ -359,11 +429,11 @@ def test_a_block_that_cannot_finish_replays_per_instruction(first, error):
                (Op.LOADF, 0, 0, 0), (Op.PUSHI, 1, 0, 0),
                (Op.DIV if error == "OverflowError" else Op.ADD, 0, 0, 0),
                (Op.RET, 0, 0, 0)]
-    fast = differential_run(True, program, [], 1, 50)
-    classic = differential_run(False, program, [], 1, 50)
-    assert fast == classic
-    assert fast["single"][0].startswith(error)
-    assert fast["single"][2] == 8  # the faulting op was the 8th
+    blocks = differential_run(True, program, [], 1, 50)
+    reference = differential_run(False, program, [], 1, 50)
+    assert blocks == reference
+    assert blocks["single"][0].startswith(error)
+    assert blocks["single"][2] == 8  # the faulting op was the 8th
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ exercises per-CPU associative-memory cams between jobs and parallel
 page-fault traffic against shared page control.
 """
 
+import contextlib
+
 import pytest
 
 from repro import MulticsSystem
@@ -16,6 +18,8 @@ from repro.hw.cpu import Instruction as I, Op
 from repro.kernel.locks import KernelLock, LockTable
 from repro.obs import MetricsRegistry
 from repro.user.object_format import ObjectSegment
+
+from tests.interpreter_oracle import per_instruction
 
 SUMMER = ObjectSegment(
     "summer",
@@ -217,22 +221,24 @@ class TestComplex:
         assert cx.jobs_completed == 4
         assert not cx.busy
 
-    @pytest.mark.parametrize("fast_path", [False, True])
+    @pytest.mark.parametrize("blocks", [False, True])
     @pytest.mark.parametrize("code", [
         [I(Op.DUP), I(Op.RET)],
         [I(Op.PUSHI, 1), I(Op.SWAP), I(Op.RET)],
     ], ids=["dup", "swap"])
-    def test_stack_underflow_is_contained(self, fast_path, code):
+    def test_stack_underflow_is_contained(self, blocks, code):
         """DUP or SWAP short of operands is an illegal instruction that
-        fails its own job, not a host error that aborts the run."""
-        system = smp_system(fast_path=fast_path)
-        jobs, _ = make_jobs(system, n_jobs=3)
-        bad = system.login("Alice", "Crypto", "alice-pw")
-        bad_job = bad.program_job(bad.install_object(
-            "underflow", ObjectSegment("u", code=code,
-                                       definitions={"main": 0})))
-        cx = system.cpu_complex(n_cpus=2)
-        cx.run_jobs(jobs[:1] + [bad_job] + jobs[1:])
+        fails its own job, not a host error that aborts the run — with
+        blocks and without."""
+        with contextlib.nullcontext() if blocks else per_instruction():
+            system = smp_system()
+            jobs, _ = make_jobs(system, n_jobs=3)
+            bad = system.login("Alice", "Crypto", "alice-pw")
+            bad_job = bad.program_job(bad.install_object(
+                "underflow", ObjectSegment("u", code=code,
+                                           definitions={"main": 0})))
+            cx = system.cpu_complex(n_cpus=2)
+            cx.run_jobs(jobs[:1] + [bad_job] + jobs[1:])
         assert isinstance(bad_job.error, IllegalInstruction)
         assert "operand stack underflow" in str(bad_job.error)
         assert [j.result for j in jobs] == [96] * 3

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import RingMode, SystemConfig, kernel_config, legacy_config
 from repro.errors import (
     AccessDenied,
     AuthenticationError,
@@ -243,3 +244,21 @@ class TestBothSupervisorsAgree:
 
     def test_identical_results(self, kernel_system, legacy_system):
         assert self.workload(kernel_system) == self.workload(legacy_system)
+
+
+class TestConfigFactories:
+    @pytest.mark.parametrize("factory", [kernel_config, legacy_config])
+    def test_unknown_key_is_refused(self, factory):
+        """A stale or misspelt override must not become a dead attribute
+        that silently leaves the intended setting at its default."""
+        with pytest.raises(TypeError):
+            factory(audit_level="full")  # a knob that no longer exists
+        assert not hasattr(SystemConfig(), "audit_level")
+
+    def test_overrides_win_over_factory_defaults(self):
+        legacy = legacy_config(ring_mode=RingMode.HARDWARE_6180,
+                               core_frames=9)
+        assert legacy.ring_mode is RingMode.HARDWARE_6180
+        assert legacy.core_frames == 9
+        assert legacy.clear_freed_frames is False
+        assert kernel_config(core_frames=9).core_frames == 9

@@ -5,6 +5,7 @@ determinism contract bench E18 leans on (same config + population ->
 same simulated clock and metrics, run to run).
 """
 
+import contextlib
 import json
 
 import pytest
@@ -20,6 +21,8 @@ from repro.workloads import (
     generate_population,
     poisson_arrivals,
 )
+
+from tests.interpreter_oracle import per_instruction
 
 N_SMOKE = 12
 
@@ -236,9 +239,11 @@ class TestWorkloadDriver:
         assert fingerprints[0] == fingerprints[1]
 
     def test_fast_and_classic_cores_agree(self):
+        """With blocks and with every instruction run one at a time."""
         outcomes = []
-        for fast in (True, False):
-            system, _, report = drive(fast_path=fast)
+        for context in (contextlib.nullcontext, per_instruction):
+            with context():
+                system, _, report = drive()
             outcomes.append((
                 system.clock.now,
                 [(r.action, r.object, r.outcome)
